@@ -9,22 +9,22 @@ as little engine work as possible:
    and are evaluated at most once;
 2. **Cache** — each unique key is looked up in the
    :class:`~repro.service.cache.ResultCache` before any compute;
-3. **Shard + fan out** — the remaining unique specs are split into shards
-   and dispatched onto the same process-pool fan-out (with its serial
-   pickle-fallback) the parameter sweeps use, with each shard's payloads
-   stored into the cache — and journaled, when a journal is attached —
-   the moment the shard completes;
-4. **Remote dispatch** — given a
-   :class:`~repro.service.remote.RemoteWorkerPool` (or worker URLs),
-   shards go onto one shared work queue and every executor *pulls* the
-   next shard when it is free: one dispatcher thread per live remote
-   ``repro serve`` worker, plus the local process pool working the same
-   queue.  A slow or loaded worker therefore naturally takes fewer shards
-   (backpressure-aware placement), a worker that dies mid-batch is marked
-   dead while the shard it held goes back on the queue for another
-   executor — the batch always completes — and a worker revived mid-batch
-   (by the pool's :class:`~repro.service.remote.WorkerSupervisor` or a
-   concurrent batch's refresh) is admitted back while shards remain.
+3. **Shard** — the remaining unique specs are split into shards, each
+   shard's payloads stored into the cache — and journaled, when a journal
+   is attached — the moment the shard completes;
+4. **Pull dispatch** — shards go onto one shared work queue and every
+   executor *pulls* the next shard when it is free: the local slot (a
+   process pool built like the parameter sweeps', serial when one worker
+   suffices or the pool breaks) plus, given a
+   :class:`~repro.service.remote.RemoteWorkerPool` (or worker URLs), one
+   dispatcher thread per live remote ``repro serve`` worker.  A local-only
+   batch is the same loop with zero remote workers.  A slow or loaded
+   worker naturally takes fewer shards (backpressure-aware placement), a
+   worker that dies mid-batch is marked dead while the shard it held goes
+   back on the queue for another executor — the batch always completes —
+   and a worker revived mid-batch (by the pool's
+   :class:`~repro.service.remote.WorkerSupervisor` or a concurrent batch's
+   refresh) is admitted back while shards remain.
 
 Determinism: every stochastic spec carries its own explicit seed, so batch
 results are bit-identical to evaluating the specs serially, whatever the
@@ -425,10 +425,8 @@ class BatchJob:
     def _finished_row(self, index: int) -> Tuple[dict, str]:
         """One row of a terminal job: ``(payload, key)``, raising on error.
 
-        Spilled jobs fetch the payload from the cache (recomputing an
-        evicted entry from its retained canonical spec — bit-identical by
-        seeded determinism); unspilled jobs index straight into the
-        retained results tuple.
+        Spilled jobs fetch the payload through :meth:`_cached_payload`;
+        unspilled jobs index straight into the retained results tuple.
         """
         with self._lock:
             error = self._error
@@ -441,35 +439,36 @@ class BatchJob:
         key = keys[index] if keys is not None else ""
         if not spilled:
             return batch.results[index], key
+        return self._cached_payload(key, spec_by_key), key
+
+    def _cached_payload(self, key: str, spec_by_key: Mapping[str, dict]) -> dict:
+        """``key``'s payload from the cache, recomputed and stored on a miss.
+
+        A miss means the entry was evicted from every cache tier; its
+        retained canonical spec recomputes it bit-identically (seeded
+        determinism), and the put saves the next poller the work.
+        """
         assert self._cache is not None
         payload = self._cache.get(key)
         if payload is None:
             payload = execute_spec(spec_from_dict(spec_by_key[key]))
             self._cache.put(key, payload)
-        return payload, key
+        return payload
 
     def _rehydrated_results(self) -> List[dict]:
-        """Rebuild the ordered results list from the cache.
+        """Rebuild the ordered results list through :meth:`_cached_payload`.
 
-        An entry evicted from every cache tier is recomputed from its
-        retained canonical spec — deterministic seeds make the recomputed
-        payload bit-identical — and stored back for the next poller.  Runs
-        without the job lock so a recompute never blocks progress polls.
+        Runs without the job lock so a recompute never blocks progress
+        polls.
         """
         with self._lock:
             keys = self._result_keys
-            cache = self._cache
             spec_by_key = dict(self._spec_by_key or {})
-        assert keys is not None and cache is not None
+        assert keys is not None
         payload_by_key: Dict[str, dict] = {}
         for key in keys:
-            if key in payload_by_key:
-                continue
-            payload = cache.get(key)
-            if payload is None:
-                payload = execute_spec(spec_from_dict(spec_by_key[key]))
-                cache.put(key, payload)
-            payload_by_key[key] = payload
+            if key not in payload_by_key:
+                payload_by_key[key] = self._cached_payload(key, spec_by_key)
         return [payload_by_key[key] for key in keys]
 
     def result(self, timeout: Optional[float] = None) -> BatchResult:
@@ -658,6 +657,11 @@ class ScenarioScheduler:
         )
         self._jobs_running = metrics.gauge(
             "repro_jobs_running", help="Background batch jobs currently executing."
+        )
+        self._queue_depth = metrics.gauge(
+            "repro_shard_queue_depth",
+            help="Shards waiting on the work queues of in-flight "
+            "batches (summed across concurrent batches).",
         )
 
     def _as_pool(self, workers: Optional[WorkersLike]) -> Optional[RemoteWorkerPool]:
@@ -924,20 +928,9 @@ class ScenarioScheduler:
                 )
             note(len(shards[index]), list(zip(shard_keys[index], payloads)))
 
-        remote_evaluated = 0
-        failovers = 0
-        num_remote_workers = 0
-        if pool is not None and shards:
-            shard_payloads, dispatch = self._dispatch_remote(
-                shards, pool, max_workers, record, batch_span=batch_span
-            )
-            remote_evaluated = dispatch["remote_specs"]
-            failovers = dispatch["failovers"]
-            num_remote_workers = dispatch["num_workers"]
-        else:
-            shard_payloads = self._run_local_shards(
-                shards, max_workers, record, batch_span=batch_span
-            )
+        shard_payloads, dispatch = self._dispatch(
+            shards, pool, max_workers, record, batch_span
+        )
         computed = [payload for shard in shard_payloads for payload in shard]
         for (key, _spec), payload in zip(pending, computed):
             payload_by_key[key] = payload
@@ -949,9 +942,9 @@ class ScenarioScheduler:
             cache_hits=cache_hits,
             evaluated=len(pending),
             num_shards=len(shards),
-            remote_evaluated=remote_evaluated,
-            failovers=failovers,
-            num_remote_workers=num_remote_workers,
+            remote_evaluated=dispatch["remote_specs"],
+            failovers=dispatch["failovers"],
+            num_remote_workers=dispatch["num_workers"],
         )
 
     # ------------------------------------------------------------------
@@ -977,15 +970,7 @@ class ScenarioScheduler:
         healthy batch's shard-span count equals its shard count.
         """
         duration = time.monotonic() - start
-        shard_seconds = self._shard_seconds.get(executor)
-        if shard_seconds is None:  # pragma: no cover - defensive (new executor)
-            shard_seconds = self.metrics.histogram(
-                "repro_shard_seconds",
-                {"executor": executor},
-                help="Per-shard execution time as seen by the scheduler "
-                "(queue pop to payloads in hand), by executor.",
-            )
-        shard_seconds.observe(duration)
+        self._shard_seconds[executor].observe(duration)
         if batch_span is None or not batch_span.trace_id:
             return
         attrs: Dict[str, object] = {
@@ -1013,27 +998,29 @@ class ScenarioScheduler:
             attrs=attrs,
         )
 
-    def _dispatch_remote(
+    def _dispatch(
         self,
         shards: List[tuple],
-        pool: RemoteWorkerPool,
+        pool: Optional[RemoteWorkerPool],
         max_workers: Optional[int],
         record: Callable[[int, Sequence[dict]], None],
         batch_span=None,
     ) -> Tuple[List[list], Dict[str, int]]:
-        """Pull-based dispatch over live remote workers plus the local pool.
+        """Pull-based dispatch of ``shards`` over the local pool and ``pool``.
 
         All shard indices go onto one shared :class:`_ShardQueue`.  One
-        dispatcher thread per live worker pulls the next index whenever its
-        worker is free, and the calling thread pulls for the local process
-        pool (submitting one shard per free process slot and refilling as
-        each completes — no round barrier, one pool per batch), so
-        placement follows each executor's actual throughput: a slow or
-        loaded worker simply pulls less often (backpressure-aware), while
-        results stay bit-identical because placement never changes what a
-        seeded spec computes.  ``record(index, payloads)`` fires once per
-        completed shard, from whichever thread finished it — the caller
+        dispatcher thread per live remote worker pulls the next index
+        whenever its worker is free, and the calling thread pulls for the
+        local process pool (submitting one shard per free process slot and
+        refilling as each completes — no round barrier, one pool per
+        batch), so placement follows each executor's actual throughput: a
+        slow or loaded worker simply pulls less often (backpressure-aware),
+        while results stay bit-identical because placement never changes
+        what a seeded spec computes.  ``record(index, payloads)`` fires once
+        per completed shard, from whichever thread finished it — the caller
         uses it for cache/journal writes and progress accounting.
+        Local-only execution is this same loop with zero remote workers
+        (``pool`` is ``None``).
 
         A worker that fails fatally is marked dead, its in-flight shard
         goes back on the queue and its dispatcher thread exits; a
@@ -1042,19 +1029,16 @@ class ScenarioScheduler:
         missing once the queue empties.  Conversely a worker that comes
         *back* — revived by the pool's supervisor or a concurrent batch's
         refresh — is admitted mid-batch: the local slot spawns it a fresh
-        dispatcher thread while work remains on the queue.
+        dispatcher thread while work remains on the queue.  A broken
+        process pool puts its in-flight shards back on the queue and the
+        local slot goes serial for the rest of the batch.
         """
-        live = pool.refresh()
+        if not shards:
+            return [], {"remote_specs": 0, "failovers": 0, "num_workers": 0}
+        live = pool.refresh() if pool is not None else []
 
         dispatch_start = time.monotonic()
-        queue = _ShardQueue(
-            range(len(shards)),
-            gauge=self.metrics.gauge(
-                "repro_shard_queue_depth",
-                help="Shards waiting on the work queues of in-flight "
-                "batches (summed across concurrent batches).",
-            ),
-        )
+        queue = _ShardQueue(range(len(shards)), gauge=self._queue_depth)
         results: List[Optional[list]] = [None] * len(shards)
         batch_counters = {"remote_specs": 0, "failovers": 0}
         counters_lock = threading.Lock()
@@ -1210,7 +1194,7 @@ class ScenarioScheduler:
                 )
                 record(index, results[index])
 
-        def run_local(admit: bool = True) -> None:
+        def run_local(admit: bool) -> None:
             # The local slot keeps one shard in flight per free process
             # slot, refilling as each completes, so it competes with the
             # remote workers for queue items instead of owning a fixed
@@ -1268,25 +1252,17 @@ class ScenarioScheduler:
                 # Same degradation contract as map_rows: a broken pool
                 # falls back to serial, never surfaces as an
                 # infrastructure error.  Shards the pool may have dropped
-                # are recomputed (deterministic, so at worst repeated
-                # work), and the pool is retired for the rest of the
-                # batch.
+                # go back on the queue to be recomputed (deterministic, so
+                # at worst repeated work), and the pool is retired for the
+                # rest of the batch.
                 local_state["pool"] = None
                 for index in inflight.values():
-                    shard_start = time.monotonic()
-                    results[index] = execute_shard(shards[index])
-                    self._note_shard(
-                        batch_span,
-                        index,
-                        len(shards[index]),
-                        "local-serial",
-                        shard_start,
-                        queue_wait=shard_start - dispatch_start,
-                    )
-                    record(index, results[index])
+                    queue.push_front(index)
                 run_serial(admit)
 
-        pool.attach_queue_probe(queue.depth)
+        admit = pool is not None
+        if pool is not None:
+            pool.attach_queue_probe(queue.depth)
         try:
             for worker in live:
                 with admit_lock:
@@ -1294,7 +1270,7 @@ class ScenarioScheduler:
                 spawn(worker)
             # The calling thread works the local slot while remote shards
             # are in flight.
-            run_local()
+            run_local(admit)
             while True:
                 for thread in threads:
                     thread.join()
@@ -1322,7 +1298,8 @@ class ScenarioScheduler:
                     queue.push_front(index)
                 run_local(admit=False)
         finally:
-            pool.detach_queue_probe(queue.depth)
+            if pool is not None:
+                pool.detach_queue_probe(queue.depth)
             if local_pool is not None:
                 local_pool.shutdown()
 
@@ -1333,140 +1310,6 @@ class ScenarioScheduler:
         }
 
     # ------------------------------------------------------------------
-    def _run_local_shards(
-        self,
-        shards: List[tuple],
-        max_workers: Optional[int],
-        record: Callable[[int, Sequence[dict]], None],
-        batch_span=None,
-    ) -> List[list]:
-        """Process-pool fan-out with a per-shard completion callback.
-
-        Same degradation contract as :func:`repro.analysis.sweep.map_rows`
-        (unpicklable work or a broken pool falls back to serial, never an
-        infrastructure error), but ``record(index, payloads)`` fires as
-        each shard completes rather than after the whole batch — that is
-        what lets the caller persist shard results incrementally, which a
-        crash-recoverable journal needs.
-        """
-        if not shards:
-            return []
-        results: List[Optional[list]] = [None] * len(shards)
-        queue = deque(range(len(shards)))
-        pool = make_row_pool(max_workers, len(shards))
-
-        def run_serial() -> None:
-            while queue:
-                index = queue.popleft()
-                shard_start = time.monotonic()
-                results[index] = execute_shard(shards[index])
-                self._note_shard(
-                    batch_span,
-                    index,
-                    len(shards[index]),
-                    "local-serial",
-                    shard_start,
-                )
-                record(index, results[index])
-
-        if pool is None:
-            run_serial()
-            return results  # type: ignore[return-value]
-        local_slots = max(
-            1, max_workers if max_workers is not None else (os.cpu_count() or 1)
-        )
-        inflight: Dict["Future[list]", int] = {}
-        submitted_at: Dict["Future[list]", float] = {}
-        try:
-            try:
-                while True:
-                    while queue and len(inflight) < local_slots:
-                        index = queue.popleft()
-                        try:
-                            future = pool.submit(execute_shard, shards[index])
-                        except BaseException:
-                            # Keep the popped index for the serial fallback.
-                            queue.appendleft(index)
-                            raise
-                        inflight[future] = index
-                        submitted_at[future] = time.monotonic()
-                    if not inflight:
-                        return results  # type: ignore[return-value]
-                    finished, _pending = wait(inflight, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        # Read before popping: a raising result (broken
-                        # pool) must leave its index in inflight for the
-                        # fallback below.
-                        payloads = future.result()
-                        index = inflight.pop(future)
-                        start = submitted_at.pop(future)
-                        results[index] = payloads
-                        self._note_shard(
-                            batch_span,
-                            index,
-                            len(shards[index]),
-                            "local-pool",
-                            start,
-                        )
-                        record(index, payloads)
-            except (
-                pickle.PicklingError,
-                AttributeError,
-                TypeError,
-                BrokenProcessPool,
-                OSError,
-            ):
-                # Shards the broken pool may have dropped are recomputed —
-                # deterministic specs make that at worst repeated work, and
-                # record() is idempotent (same key, same payload).
-                for index in inflight.values():
-                    shard_start = time.monotonic()
-                    results[index] = execute_shard(shards[index])
-                    self._note_shard(
-                        batch_span,
-                        index,
-                        len(shards[index]),
-                        "local-serial",
-                        shard_start,
-                    )
-                    record(index, results[index])
-                run_serial()
-                return results  # type: ignore[return-value]
-        finally:
-            pool.shutdown()
-
-    # ------------------------------------------------------------------
-    def submit_batch(
-        self,
-        specs: Iterable[ScenarioSpec],
-        max_workers: Optional[int] = None,
-        shard_size: Optional[int] = None,
-        workers: Optional[WorkersLike] = None,
-    ) -> "Future[BatchResult]":
-        """Asynchronous :meth:`run_batch`: returns a future immediately.
-
-        The batch runs on a background thread (the heavy lifting still
-        happens in the process pool or on remote workers), so callers can
-        overlap scheduling with other work and collect the
-        :class:`BatchResult` later.
-        """
-        specs = list(specs)
-        future: "Future[BatchResult]" = Future()
-
-        def _run() -> None:
-            if not future.set_running_or_notify_cancel():
-                return
-            try:
-                future.set_result(
-                    self.run_batch(specs, max_workers, shard_size, workers)
-                )
-            except BaseException as error:  # propagate through the future
-                future.set_exception(error)
-
-        thread = threading.Thread(target=_run, name="repro-batch", daemon=True)
-        thread.start()
-        return future
-
     def submit_job(
         self,
         specs: Iterable[ScenarioSpec],

@@ -3,16 +3,19 @@
 Both ``test_service_remote.py`` and ``test_service_recovery.py`` need
 misbehaving ``repro serve`` stand-ins; they live here once so a change to
 the ``/batch`` payload shape or the ``/healthz`` handshake is mirrored in
-one place.
+one place.  :func:`local_shards_wait_for` scripts the interleaving of those
+doubles with the scheduler's own executor.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.service import scheduler as scheduler_module
 from repro.service.execute import execute_shard
 from repro.service.spec import ENGINE_VERSION, spec_from_dict
 from repro.service.telemetry import MetricsRegistry
@@ -66,6 +69,7 @@ class _FlakyHandler(WorkerDoubleHandler):
             alive = server.batches_served <= server.max_batches
         if not alive:
             self._reply(500, {"error": "worker crashed mid-batch"})
+            server.crashed.set()
             return
         length = int(self.headers.get("Content-Length") or 0)
         body = json.loads(self.rfile.read(length))
@@ -76,13 +80,40 @@ class _FlakyHandler(WorkerDoubleHandler):
 class FlakyWorkerServer(_WorkerDoubleServer):
     """A worker that passes the health handshake, serves ``max_batches``
     shard requests with *correct* results, then dies (HTTP 500) — the
-    deterministic stand-in for a node crashing mid-batch.
+    deterministic stand-in for a node crashing mid-batch.  ``crashed`` is
+    set once the first 500 has been sent.
     """
 
     def __init__(self, max_batches: int):
         self.max_batches = max_batches
         self.batches_served = 0
+        self.crashed = threading.Event()
         super().__init__(_FlakyHandler)
+
+
+@contextlib.contextmanager
+def local_shards_wait_for(event: threading.Event, timeout: float = 60.0):
+    """Hold every shard the scheduler executes in-process until ``event``.
+
+    Wraps :func:`repro.service.scheduler.execute_shard`, which the serial
+    local slot calls (as do in-process ``repro serve`` workers).  Pairing
+    it with :attr:`FlakyWorkerServer.crashed` scripts "the worker crashes
+    before the local slot drains the queue" without sleeps.  If the event
+    never comes, the shard raises after ``timeout`` seconds and the batch,
+    and with it the test, fails instead of hanging.
+    """
+    original = scheduler_module.execute_shard
+
+    def gated(specs):
+        if not event.wait(timeout):
+            raise AssertionError(f"event not set within {timeout} s")
+        return original(specs)
+
+    scheduler_module.execute_shard = gated
+    try:
+        yield
+    finally:
+        scheduler_module.execute_shard = original
 
 
 class _RejectingHandler(WorkerDoubleHandler):

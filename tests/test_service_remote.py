@@ -15,7 +15,7 @@ import urllib.request
 
 import pytest
 
-from service_helpers import FlakyWorkerServer
+from service_helpers import FlakyWorkerServer, local_shards_wait_for
 
 from repro.analysis.sweep import interesting_grid, sweep_random_faults
 from repro.service.remote import RemoteWorker, RemoteWorkerError, RemoteWorkerPool
@@ -131,10 +131,9 @@ class TestFailover:
         # Worker 1 is real; worker 2 passes the handshake, serves one shard
         # correctly, then crashes — the shard it holds goes back on the
         # work queue and the batch completes with identical payloads.  The
-        # queue is kept long (200 one-spec shards) so the crash lands
-        # deterministically mid-batch: the flaky worker's second pull
-        # happens milliseconds in, long before the other executors can
-        # drain the queue.
+        # crash lands mid-batch by construction: in-process shards wait
+        # until the flaky worker has replied 500, so the other executors
+        # cannot drain the queue before its second pull.
         flaky = FlakyWorkerServer(max_batches=1)
         flaky_thread = threading.Thread(target=flaky.serve_forever, daemon=True)
         flaky_thread.start()
@@ -146,7 +145,8 @@ class TestFailover:
             serial = ScenarioScheduler().run_batch(specs, max_workers=1)
             pool = RemoteWorkerPool([workers[0].url, flaky.url])
             scheduler = ScenarioScheduler(workers=pool)
-            batch = scheduler.run_batch(specs, max_workers=1, shard_size=1)
+            with local_shards_wait_for(flaky.crashed):
+                batch = scheduler.run_batch(specs, max_workers=1, shard_size=1)
             assert list(batch.results) == list(serial.results)  # bit-identical
             assert batch.failovers >= 1
             assert batch.remote_evaluated >= 1

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.analysis.sweep import (
@@ -9,6 +12,7 @@ from repro.analysis.sweep import (
     sweep_optimal_strategies,
     sweep_random_faults,
 )
+from repro.service import scheduler as scheduler_module
 from repro.service.cache import ResultCache
 from repro.service.scheduler import (
     ScenarioScheduler,
@@ -16,6 +20,7 @@ from repro.service.scheduler import (
     simulate_grid_specs,
 )
 from repro.service.spec import BoundsSpec, SimulateSpec
+from repro.service.telemetry import MetricsRegistry, Tracer
 
 
 class TestEvaluate:
@@ -75,13 +80,6 @@ class TestBatchDedupAndCache:
         assert list(by_one.results) == list(by_three.results)
         assert by_three.num_shards == -(-len(specs) // 3)
 
-    def test_submit_batch_future(self):
-        scheduler = ScenarioScheduler()
-        future = scheduler.submit_batch([BoundsSpec(num_robots=3, num_faulty=1)])
-        batch = future.result(timeout=60)
-        assert batch.num_scenarios == 1
-        assert batch.results[0]["ratio"] == pytest.approx(5.2331, abs=5e-5)
-
 
 class TestBitIdenticalToSerialSweeps:
     def test_simulate_batch_matches_sweep_optimal_strategies(self):
@@ -114,3 +112,63 @@ class TestBitIdenticalToSerialSweeps:
             assert payload["quantile_95"] == row.quantile_95
             assert payload["max_ratio"] == row.max_ratio
             assert payload["num_trials"] == row.num_trials
+
+
+class _BreakingPool:
+    """Local process-pool stand-in: runs ``good`` shards inline, then breaks.
+
+    The break comes either from ``submit`` itself or from the returned
+    future's ``result()`` — the two places a real broken
+    ``ProcessPoolExecutor`` raises :class:`BrokenProcessPool`.
+    """
+
+    def __init__(self, good: int, raise_from: str):
+        self.good = good
+        self.raise_from = raise_from
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future: Future = Future()
+        if self.submitted <= self.good:
+            future.set_result(fn(*args))
+        elif self.raise_from == "submit":
+            raise BrokenProcessPool("pool broke on submit")
+        else:
+            future.set_exception(BrokenProcessPool("pool process died"))
+        return future
+
+    def shutdown(self, wait: bool = True) -> None:
+        pass
+
+
+class TestBrokenPoolFallback:
+    @pytest.mark.parametrize("raise_from", ["submit", "result"])
+    @pytest.mark.parametrize("good", [0, 1, 3])
+    def test_broken_pool_falls_back_to_serial(self, monkeypatch, good, raise_from):
+        specs = [SimulateSpec(num_robots=1, horizon=20.0 + i) for i in range(8)]
+        serial = ScenarioScheduler().run_batch(specs, max_workers=1)
+        broken = _BreakingPool(good, raise_from)
+        monkeypatch.setattr(
+            scheduler_module, "make_row_pool", lambda *_args: broken
+        )
+        metrics, tracer = MetricsRegistry(), Tracer()
+        rows = []
+        batch = ScenarioScheduler(metrics=metrics, tracer=tracer).run_batch(
+            specs, max_workers=2, shard_size=1, on_rows=rows.extend
+        )
+        assert broken.submitted > good  # the pool really broke mid-batch
+        assert list(batch.results) == list(serial.results)  # bit-identical
+        assert sorted(index for index, _key, _payload in rows) == list(
+            range(len(specs))
+        )
+        shard_spans = [
+            child
+            for child in tracer.span_tree(batch.trace_id)["roots"][0]["children"]
+            if child["name"] == "shard"
+        ]
+        assert len(shard_spans) == batch.num_shards == len(specs)
+        assert sorted(span["attrs"]["shard"] for span in shard_spans) == list(
+            range(len(specs))
+        )
+        assert metrics.gauge("repro_shard_queue_depth").value == 0

@@ -21,7 +21,7 @@ import uuid
 
 import pytest
 
-from service_helpers import FlakyWorkerServer
+from service_helpers import FlakyWorkerServer, local_shards_wait_for
 
 from repro.exceptions import InvalidProblemError
 from repro.service.remote import RemoteWorkerPool
@@ -114,7 +114,8 @@ class TestStreamingThroughFailover:
         # Worker double serves exactly one shard correctly, then 500s.
         # Its queued shards fail over to the local pool mid-stream; the
         # subscriber must still see every index exactly once, in order,
-        # with payloads bit-identical to a serial run.
+        # with payloads bit-identical to a serial run.  Local shards wait
+        # for the crash, so the local slot cannot drain the queue first.
         flaky = FlakyWorkerServer(max_batches=1)
         thread = threading.Thread(target=flaky.serve_forever, daemon=True)
         thread.start()
@@ -123,9 +124,10 @@ class TestStreamingThroughFailover:
             serial = ScenarioScheduler().run_batch(specs, max_workers=1)
             pool = RemoteWorkerPool([flaky.url])
             scheduler = ScenarioScheduler(workers=pool)
-            job = scheduler.submit_job(specs, max_workers=1, shard_size=1)
-            rows = list(job.iter_rows())
-            batch = job.result()
+            with local_shards_wait_for(flaky.crashed):
+                job = scheduler.submit_job(specs, max_workers=1, shard_size=1)
+                rows = list(job.iter_rows())
+                batch = job.result()
             assert batch.failovers >= 1
             indices = [index for index, _key, _payload in rows]
             assert indices == sorted(indices)  # monotone
