@@ -8,7 +8,9 @@ and one coordinator dispatching to it, then
    ``max_trials``, with the two precision-free golden scenarios riding
    along) as an async job and consumes ``GET /jobs/<id>/rows`` as an SSE
    stream — every row must arrive exactly once, in index order, with the
-   first row delivered while the job is still ``running``;
+   first row delivered while the job is still ``running`` (the job's last
+   scenario is deliberately heavy, so the job is still running when the
+   first row lands by design, not by winning a race);
 2. asserts the adaptive payloads report ``trials_used``/``converged``, that
    at least one cell stopped early (trials saved), and that the goldens
    came through exact (line ratio 9, randomized closed form 4.5911);
@@ -19,8 +21,10 @@ and one coordinator dispatching to it, then
    job's;
 5. checks the telemetry surfaced: the coordinator counted the streamed
    rows (``repro_rows_streamed_total``) and labelled the endpoint
-   ``/jobs/:id/rows``; the worker counted adaptive trials under
-   ``repro_mc_trials_total{outcome=used|saved}``.
+   ``/jobs/:id/rows``; coordinator plus worker
+   ``repro_mc_trials_total{outcome=used|saved}`` equal exactly the trials
+   the first job's unique Monte-Carlo scenarios used and left unspent,
+   wherever each shard ran.
 
 Run from the repository root:  ``python scripts/streaming_smoke.py``
 """
@@ -37,6 +41,12 @@ GOLDEN_SIMULATE = {"kind": "simulate", "num_rays": 2, "num_robots": 1,
                    "num_faulty": 0, "horizon": 200.0}
 GOLDEN_RANDOMIZED = {"kind": "montecarlo_randomized", "num_rays": 2,
                      "num_samples": 4000, "seed": 7, "horizon": 1000.0}
+#: ~0.7 s of engine work on a 2-CPU container, far longer than the first
+#: row takes to land.
+HEAVY = {"kind": "montecarlo_faults", "num_rays": 3, "num_robots": 4,
+         "num_faulty": 1, "num_trials": 65536, "seed": 99, "horizon": 100.0}
+MC_BUDGET = {"montecarlo_faults": "num_trials",
+             "montecarlo_randomized": "num_samples"}
 
 
 def _grid():
@@ -48,7 +58,24 @@ def _grid():
         for seed in range(12)
     ]
     unique += [GOLDEN_SIMULATE, GOLDEN_RANDOMIZED]
-    return unique + list(reversed(unique))  # 100 scenarios, 50% duplicates
+    # 101 scenarios: 50 duplicated, and the heavy one last.
+    return unique + list(reversed(unique)) + [HEAVY]
+
+
+def _expected_trials(scenarios, rows):
+    """Trials the unique Monte-Carlo rows used and left in their budgets."""
+    expected = {"used": 0, "saved": 0}
+    seen = set()
+    for row in rows:
+        spec = scenarios[row["index"]]
+        if spec["kind"] not in MC_BUDGET or row["key"] in seen:
+            continue
+        seen.add(row["key"])
+        used = row["result"]["trials_used"]
+        budget = spec.get("max_trials", spec[MC_BUDGET[spec["kind"]]])
+        expected["used"] += used
+        expected["saved"] += budget - used
+    return expected
 
 
 def _request(base, path, payload=None):
@@ -145,7 +172,7 @@ def main() -> int:
         )
 
         adaptive = [row["result"] for row in rows
-                    if row["result"]["kind"] == "montecarlo_faults"]
+                    if "target_se" in scenarios[row["index"]]]
         assert all(r["trials_used"] <= 256 for r in adaptive)
         assert all(r["converged"] in (True, False) for r in adaptive)
         saved = sum(256 - r["trials_used"] for r in adaptive
@@ -177,7 +204,7 @@ def main() -> int:
         assert stats["cache_hits"] == stats["num_unique"], stats
 
         # Telemetry: the coordinator counted streamed rows under the
-        # templated path label; the worker counted adaptive trials.
+        # templated path label, and the cluster counted every trial once.
         coordinator_metrics = _request(url, "/metrics.json")
         streamed = _counter(coordinator_metrics, "repro_rows_streamed_total")
         assert streamed >= 2 * len(scenarios) + 10, streamed
@@ -186,19 +213,24 @@ def main() -> int:
             {"path": "/jobs/:id/rows"},
         ) >= 3  # full stream + ?start= tail + second job's stream
         worker_metrics = _request(worker_url, "/metrics.json")
-        used = _counter(worker_metrics, "repro_mc_trials_total",
-                        {"outcome": "used"})
-        saved_metric = _counter(worker_metrics, "repro_mc_trials_total",
-                                {"outcome": "saved"})
-        assert used > 0, "worker never recorded adaptive trial usage"
-        assert saved_metric > 0, "worker never recorded saved trials"
+        counted = {
+            outcome: sum(
+                _counter(snapshot, "repro_mc_trials_total", {"outcome": outcome})
+                for snapshot in (coordinator_metrics, worker_metrics)
+            )
+            for outcome in ("used", "saved")
+        }
+        expected = _expected_trials(scenarios, rows)
+        assert counted == expected, (
+            f"cluster counted trials {counted}, payloads report {expected}"
+        )
 
         print(
             f"streaming smoke OK: {len(rows)} rows streamed in order "
             f"(first row mid-run), {saved} trials saved by adaptive "
             f"stopping, resubmission 100% cache hits "
-            f"({stats['cache_hits']}/{stats['num_unique']}), worker "
-            f"trials used={used} saved={saved_metric}"
+            f"({stats['cache_hits']}/{stats['num_unique']}), cluster "
+            f"trials used={counted['used']} saved={counted['saved']}"
         )
         return 0
     finally:

@@ -716,6 +716,7 @@ def _command_batch(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     pool = _build_worker_pool(args)
+    scheduler = None
     try:
         specs = [spec_from_dict(item) for item in body]
         scheduler = ScenarioScheduler(
@@ -782,6 +783,8 @@ def _command_batch(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     finally:
+        if scheduler is not None:
+            scheduler.close()
         if pool is not None:
             pool.close()
     if args.json:
@@ -873,6 +876,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     pool = _build_worker_pool(args)
+    scheduler = None
     try:
         plan = Experiment.from_spec(body).compile()
         scheduler = ScenarioScheduler(
@@ -929,6 +933,8 @@ def _command_experiment(args: argparse.Namespace) -> int:
         print(f"error: invalid experiment spec: {error}", file=sys.stderr)
         return 2
     finally:
+        if scheduler is not None:
+            scheduler.close()
         if pool is not None:
             pool.close()
     # persist() rewrites table.csv with the same bytes a streamed run

@@ -454,7 +454,9 @@ class ExperimentPlan:
 
         The batch goes through :meth:`ScenarioScheduler.submit_job`, so a
         journaled scheduler records the experiment like any other job and
-        remote workers participate in the fan-out.
+        remote workers participate in the fan-out.  Without a
+        ``scheduler`` the run builds its own and closes it (and its
+        process pool) before returning.
 
         ``on_row`` switches delivery to the job's ordered row stream
         (:meth:`~repro.service.scheduler.BatchJob.iter_rows`): each
@@ -465,6 +467,10 @@ class ExperimentPlan:
         """
         if scheduler is None:
             scheduler = ScenarioScheduler()
+            try:
+                return self.run(scheduler, max_workers, shard_size, on_row)
+            finally:
+                scheduler.close()
         job = scheduler.submit_job(
             [cell.spec for cell in self.cells],
             max_workers=max_workers,

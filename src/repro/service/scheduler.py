@@ -13,9 +13,10 @@ as little engine work as possible:
    shard's payloads stored into the cache — and journaled, when a journal
    is attached — the moment the shard completes;
 4. **Pull dispatch** — shards go onto one shared work queue and every
-   executor *pulls* the next shard when it is free: the local slot (a
-   process pool built like the parameter sweeps', serial when one worker
-   suffices or the pool breaks) plus, given a
+   executor *pulls* the next shard when it is free: the local slot (the
+   scheduler's one process pool, built like the parameter sweeps' on the
+   first batch that needs it and reused by every later batch; serial when
+   one worker suffices or the pool breaks) plus, given a
    :class:`~repro.service.remote.RemoteWorkerPool` (or worker URLs), one
    dispatcher thread per live remote ``repro serve`` worker.  A local-only
    batch is the same loop with zero remote workers.  A slow or loaded
@@ -46,6 +47,12 @@ the canonical spec dicts as a recompute fallback), so
 coordinator memory; ``GET /jobs/<id>`` rehydrates bit-identically on
 demand.
 
+The local process pool lives as long as the scheduler: concurrent
+batches submit to the same pool, a pool that breaks is retired and the
+next batch builds a fresh one, and :meth:`ScenarioScheduler.close` shuts
+it down.  Starting a pool costs far more than a shard of engine work, so
+no batch — and no shard a remote worker serves — pays that start-up.
+
 Durability: constructed with a :class:`~repro.service.journal.JobJournal`,
 the scheduler journals every submission, per-shard completion and terminal
 state; :meth:`ScenarioScheduler.recover_jobs` replays that journal on
@@ -56,6 +63,7 @@ are read back from the disk cache under their journaled keys).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import threading
@@ -64,7 +72,7 @@ import uuid
 import warnings
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import (
     Callable,
@@ -84,13 +92,14 @@ from ..simulation.engine import DEFAULT_ENGINE
 from ..simulation.monte_carlo import SeedLike, spawn_seeds
 from . import telemetry
 from .cache import ResultCache
-from .execute import ensure_executable, execute_shard, execute_spec
+from .execute import _count_mc_trials, ensure_executable, execute_shard, execute_spec
 from .journal import JobJournal, JournalJobRecord
 from .remote import RemoteWorker, RemoteWorkerError, RemoteWorkerPool
 from .telemetry import _NULL_SPAN, MetricsRegistry, Tracer
 from .spec import (
     ENGINE_VERSION,
     MonteCarloFaultsSpec,
+    MonteCarloRandomizedSpec,
     ScenarioSpec,
     SimulateSpec,
     spec_from_dict,
@@ -663,6 +672,52 @@ class ScenarioScheduler:
             help="Shards waiting on the work queues of in-flight "
             "batches (summed across concurrent batches).",
         )
+        # The local process pool, shared by every batch and built on the
+        # first one that wants parallelism (_local_pool); the lock guards
+        # building, retiring and closing it.
+        self._pool_lock = threading.Lock()
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_size = 0
+
+    def _local_pool(self) -> Optional[ProcessPoolExecutor]:
+        """The scheduler's process pool, built on first use.
+
+        Sized to the host's CPUs (at least two: a batch asks only when it
+        wants two or more processes).  ``None`` when the pool cannot be
+        built — the batch then runs serially, and the next one tries again.
+        """
+        with self._pool_lock:
+            if self._pool is None:
+                if "forkserver" in multiprocessing.get_all_start_methods():
+                    # Children fork from a server that has already imported
+                    # NumPy and the engines, instead of importing them each.
+                    multiprocessing.set_forkserver_preload(["repro.service.execute"])
+                self._pool_size = max(2, os.cpu_count() or 1)
+                self._pool = make_row_pool(self._pool_size, self._pool_size)
+            return self._pool
+
+    def _retire_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Drop ``pool`` after it failed, unless it was already replaced.
+
+        The identity check keeps a batch that saw the old pool break from
+        retiring the fresh one a concurrent batch has since built.
+        """
+        with self._pool_lock:
+            if self._pool is not pool:
+                return
+            self._pool = None
+        pool.shutdown(wait=False)
+
+    def close(self) -> None:
+        """Shut the local process pool down (idempotent).
+
+        Waits for shards already running in it; a batch still in flight
+        finishes serially.  A later batch builds a fresh pool.
+        """
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
 
     def _as_pool(self, workers: Optional[WorkersLike]) -> Optional[RemoteWorkerPool]:
         if workers is None:
@@ -1012,8 +1067,9 @@ class ScenarioScheduler:
         dispatcher thread per live remote worker pulls the next index
         whenever its worker is free, and the calling thread pulls for the
         local process pool (submitting one shard per free process slot and
-        refilling as each completes — no round barrier, one pool per
-        batch), so placement follows each executor's actual throughput: a
+        refilling as each completes — no round barrier; the pool is the
+        scheduler's, shared with concurrent batches and reused by later
+        ones), so placement follows each executor's actual throughput: a
         slow or loaded worker simply pulls less often (backpressure-aware),
         while results stay bit-identical because placement never changes
         what a seeded spec computes.  ``record(index, payloads)`` fires once
@@ -1030,8 +1086,9 @@ class ScenarioScheduler:
         *back* — revived by the pool's supervisor or a concurrent batch's
         refresh — is admitted mid-batch: the local slot spawns it a fresh
         dispatcher thread while work remains on the queue.  A broken
-        process pool puts its in-flight shards back on the queue and the
-        local slot goes serial for the rest of the batch.
+        process pool puts its in-flight shards back on the queue, the local
+        slot goes serial for the rest of the batch, and the scheduler
+        retires the pool so the next batch builds a fresh one.
         """
         if not shards:
             return [], {"remote_specs": 0, "failovers": 0, "num_workers": 0}
@@ -1166,10 +1223,14 @@ class ScenarioScheduler:
                     dispatching.add(id(worker))
                 spawn(worker)
 
-        local_slots = max(
-            1, max_workers if max_workers is not None else (os.cpu_count() or 1)
+        requested = max_workers if max_workers is not None else (os.cpu_count() or 1)
+        # Same serial/parallel decision a per-batch pool used to make: one
+        # worker or one shard runs in-process, anything else shares the
+        # scheduler's long-lived pool, at most `local_slots` shards at once.
+        local_pool = (
+            self._local_pool() if requested > 1 and len(shards) > 1 else None
         )
-        local_pool = make_row_pool(max_workers, len(shards))
+        local_slots = min(requested, self._pool_size) if local_pool is not None else 1
         # Holder rather than a bare nonlocal: once the pool breaks, every
         # later run_local pass (the drain loop reuses it) must go serial
         # instead of re-raising on the same broken pool.
@@ -1215,11 +1276,15 @@ class ScenarioScheduler:
                             break
                         try:
                             future = pool_now.submit(execute_shard, shards[index])
-                        except BaseException:
+                        except BaseException as error:
                             # The popped index must never be lost: put it
                             # back before the failure propagates to the
                             # serial fallback below.
                             queue.push_front(index)
+                            if isinstance(error, RuntimeError):
+                                # Broken, or shut down by close() while
+                                # this batch ran: degrade the same way.
+                                raise BrokenProcessPool(str(error)) from error
                             raise
                         inflight[future] = index
                         submitted_at[future] = time.monotonic()
@@ -1232,6 +1297,7 @@ class ScenarioScheduler:
                         # fallback below still knows about this index.
                         results[inflight[future]] = future.result()
                         index = inflight.pop(future)
+                        _count_pool_trials(shards[index], results[index])
                         start = submitted_at.pop(future)
                         self._note_shard(
                             batch_span,
@@ -1253,9 +1319,10 @@ class ScenarioScheduler:
                 # falls back to serial, never surfaces as an
                 # infrastructure error.  Shards the pool may have dropped
                 # go back on the queue to be recomputed (deterministic, so
-                # at worst repeated work), and the pool is retired for the
-                # rest of the batch.
+                # at worst repeated work); this batch stays serial and the
+                # next one builds a fresh pool.
                 local_state["pool"] = None
+                self._retire_pool(pool_now)
                 for index in inflight.values():
                     queue.push_front(index)
                 run_serial(admit)
@@ -1300,8 +1367,6 @@ class ScenarioScheduler:
         finally:
             if pool is not None:
                 pool.detach_queue_probe(queue.depth)
-            if local_pool is not None:
-                local_pool.shutdown()
 
         return results, {  # type: ignore[return-value]
             "remote_specs": batch_counters["remote_specs"],
@@ -1538,6 +1603,27 @@ class ScenarioScheduler:
             job._state = "done"
         job._done.set()
         return job
+
+
+def _count_pool_trials(
+    shard: Sequence[ScenarioSpec], payloads: Sequence[dict]
+) -> None:
+    """Count a pool-computed shard's Monte-Carlo trials in this process.
+
+    ``execute_spec`` counts ``repro_mc_trials_total`` in whatever process
+    runs it, and a pool child's registry never reaches ``/metrics``; the
+    serving process counts those shards from their payloads instead, with
+    the same budget ``execute_spec`` uses.
+    """
+    for spec, payload in zip(shard, payloads):
+        if isinstance(spec, MonteCarloFaultsSpec):
+            fixed = spec.num_trials
+        elif isinstance(spec, MonteCarloRandomizedSpec):
+            fixed = spec.num_samples
+        else:
+            continue
+        budget = spec.max_trials if spec.max_trials is not None else fixed
+        _count_mc_trials(payload["trials_used"], budget)
 
 
 def _split_shards(

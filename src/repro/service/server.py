@@ -801,8 +801,12 @@ class ScenarioServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def server_close(self) -> None:
-        """Close the socket, stop the supervisor, checkpoint the journal."""
+        """Close the socket, stop the supervisor, checkpoint the journal.
+
+        Also shuts down the scheduler's local process pool.
+        """
         super().server_close()
+        self.scheduler.close()
         pool = getattr(self.scheduler, "worker_pool", None)
         if pool is not None:
             # close() also drops the pool's idle keep-alive connections,
