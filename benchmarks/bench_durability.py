@@ -80,9 +80,7 @@ def test_perf_durability_journal_and_recovery(benchmark):
             journal=JobJournal(journal_path),
         )
         start = time.perf_counter()
-        job = durable.submit_job(
-            list(grid), max_workers=1, shard_size=SHARD_SIZE, spill_results=False
-        )
+        job = durable.submit_job(list(grid), max_workers=1, shard_size=SHARD_SIZE)
         assert job.wait(timeout=300.0)
         durable_seconds = time.perf_counter() - start
         durable_batch = job.result()

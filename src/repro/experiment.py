@@ -458,12 +458,12 @@ class ExperimentPlan:
         ``scheduler`` the run builds its own and closes it (and its
         process pool) before returning.
 
-        ``on_row`` switches delivery to the job's ordered row stream
-        (:meth:`~repro.service.scheduler.BatchJob.iter_rows`): each
-        finished table row is passed to the callback the moment its shard
-        lands — the first row typically long before the batch completes —
-        while the returned :class:`ExperimentResult` stays identical to
-        the non-streaming path (same rows, same order, same payloads).
+        Rows are read from the job's ordered row stream
+        (:meth:`~repro.service.scheduler.BatchJob.iter_rows`); given
+        ``on_row``, each finished table row is also passed to the callback
+        the moment its shard lands — the first row typically long before
+        the batch completes.  The returned :class:`ExperimentResult` is the
+        same either way (same rows, same order, same payloads).
         """
         if scheduler is None:
             scheduler = ScenarioScheduler()
@@ -475,22 +475,14 @@ class ExperimentPlan:
             [cell.spec for cell in self.cells],
             max_workers=max_workers,
             shard_size=shard_size,
-            spill_results=False,
         )
         rows: List[List[Any]] = []
-        if on_row is None:
-            job.wait()
-            batch = job.result()
-            for cell, payload in zip(self.cells, batch.results):
-                rows.append(self._table_row(cell, payload, scheduler.engine_version))
-        else:
-            for index, _key, payload in job.iter_rows():
-                row = self._table_row(
-                    self.cells[index], payload, scheduler.engine_version
-                )
-                rows.append(row)
+        for index, _key, payload in job.iter_rows():
+            row = self._table_row(self.cells[index], payload, scheduler.engine_version)
+            rows.append(row)
+            if on_row is not None:
                 on_row(row)
-            batch = job.result()
+        batch = job.result()
         return ExperimentResult(
             plan=self,
             rows=rows,

@@ -8,8 +8,7 @@ accepts is journaled to an append-only SQLite database (stdlib
 
 * **submission** — the job id, the canonical spec dict and content key of
   every scenario position, and the batch options (``max_workers``,
-  ``shard_size``, ``spill_results``), written in one transaction before
-  the job starts;
+  ``shard_size``), written in one transaction before the job starts;
 * **per-shard completion** — the result keys of each finished shard, so a
   restart knows exactly which shards need re-running (their payloads live
   in the content-addressed disk cache under those keys);

@@ -17,7 +17,8 @@ as little engine work as possible:
    scheduler's one process pool, built like the parameter sweeps' on the
    first batch that needs it and reused by every later batch; serial when
    one worker suffices or the pool breaks) plus, given a
-   :class:`~repro.service.remote.RemoteWorkerPool` (or worker URLs), one
+   :class:`~repro.service.remote.RemoteWorkerPool` (or worker URLs, which
+   the scheduler builds into a pool it closes itself), one
    dispatcher thread per live remote ``repro serve`` worker.  A local-only
    batch is the same loop with zero remote workers.  A slow or loaded
    worker naturally takes fewer shards (backpressure-aware placement), a
@@ -40,12 +41,14 @@ scheduled grid reproduces the serial sweep bit for bit.
 Long grids need not block: :meth:`ScenarioScheduler.submit_job` runs a
 batch on a background thread and returns a :class:`BatchJob` handle with
 live partial-progress counts — the object the HTTP server exposes as
-``POST /jobs`` + ``GET /jobs/<id>``.  A finished job **spills** its result
-payloads into the content-addressed cache and retains only the keys (plus
-the canonical spec dicts as a recompute fallback), so
-:data:`MAX_RETAINED_JOBS` of large grids never pin full payload copies in
-coordinator memory; ``GET /jobs/<id>`` rehydrates bit-identically on
-demand.
+``POST /jobs`` + ``GET /jobs/<id>``.  A job keeps one row store: its
+ordered keys and one canonical spec dict per unique key, fixed at
+submission, plus a ``key -> payload`` map that :meth:`run_batch`'s
+``on_rows`` callback fills as shards land.  A finished job **spills**:
+the payloads go into the content-addressed cache and the map is dropped,
+so :data:`MAX_RETAINED_JOBS` of large grids never pin full payload
+copies in coordinator memory; ``GET /jobs/<id>`` reads them back
+bit-identically on demand (recomputing evicted entries from their spec).
 
 The local process pool lives as long as the scheduler: concurrent
 batches submit to the same pool, a pool that breaks is retired and the
@@ -93,7 +96,7 @@ from ..simulation.monte_carlo import SeedLike, spawn_seeds
 from . import telemetry
 from .cache import ResultCache
 from .execute import _count_mc_trials, ensure_executable, execute_shard, execute_spec
-from .journal import JobJournal, JournalJobRecord
+from .journal import JobJournal
 from .remote import RemoteWorker, RemoteWorkerError, RemoteWorkerPool
 from .telemetry import _NULL_SPAN, MetricsRegistry, Tracer
 from .spec import (
@@ -234,161 +237,131 @@ class BatchResult:
 class BatchJob:
     """Handle to one asynchronously running batch with partial progress.
 
+    The job's rows live in one store: the ordered cache ``keys`` and one
+    canonical spec dict per unique key, both fixed at construction, plus
+    one ``key -> payload`` map that fills as rows land.
     ``completed``/``total`` count *unique* scenarios resolved (cache hits
     count immediately, evaluations as their shard completes), so pollers
-    see monotone progress even on heavily deduplicated grids.  Until the
-    batch has deduplicated its input the exact unique total is unknown;
-    :meth:`to_dict` then reports ``num_scenarios`` (an upper bound) so the
-    progress block is always well-formed.  Thread-safe: the batch thread
-    writes, any number of HTTP poller threads read.
+    see monotone progress even on heavily deduplicated grids; the unique
+    total is known from submission.  Thread-safe: the batch thread
+    writes, any number of HTTP poller threads read, all under one
+    condition.
 
     When constructed with a ``cache`` (the scheduler always passes its
-    own), a finished job *spills*: payloads go into the content-addressed
-    cache and the job retains only the ordered cache keys plus each unique
-    scenario's canonical spec dict.  :meth:`to_dict` and :meth:`result`
-    rehydrate from the cache on demand, recomputing any evicted entry from
-    its retained spec — bit-identical either way, since specs are
-    deterministic under their embedded seeds.  A job whose unique result
-    count exceeds the cache's in-memory capacity (with no disk tier to
-    fall back on) declines to spill and keeps its payloads: rehydrating it
-    would recompute most of the grid on every poll.
+    own), a finished job *spills*: its payloads go into the
+    content-addressed cache and the payload map is dropped.
+    :meth:`iter_rows`, :meth:`result` and :meth:`to_dict` then read each
+    payload back from the cache, recomputing any evicted entry from its
+    spec dict — bit-identical either way, since specs are deterministic
+    under their embedded seeds.  A job whose unique result count exceeds
+    the cache's in-memory capacity (with no disk tier to fall back on)
+    declines to spill and keeps its payloads: reading it back would
+    recompute most of the grid on every poll.
     """
 
     def __init__(
         self,
         job_id: str,
-        num_scenarios: int,
+        keys: Sequence[str],
+        spec_dicts: Sequence[dict] = (),
         cache: Optional[ResultCache] = None,
-        spill_results: bool = True,
         recovered: bool = False,
-        keys: Optional[Sequence[str]] = None,
     ) -> None:
         self.job_id = job_id
-        self.num_scenarios = num_scenarios
+        self._keys = tuple(keys)
+        self.num_scenarios = len(self._keys)
         #: True when this handle was rebuilt (or its batch resumed) from a
         #: journal after a coordinator restart rather than submitted live.
         self.recovered = bool(recovered)
         self._cache = cache
-        self._spill = bool(spill_results) and cache is not None
-        self._lock = threading.Lock()
+        # ``spec_dicts`` is aligned with ``keys``; the first dict per key
+        # is the recompute fallback for an evicted payload.
+        self._spec_by_key: Dict[str, dict] = {}
+        for key, spec_dict in zip(self._keys, spec_dicts):
+            self._spec_by_key.setdefault(key, spec_dict)
+        self._num_unique = len(set(self._keys))
+        self._cond = threading.Condition()
         self._state = "running"
+        #: Payloads of the keys resolved so far; ``None`` once spilled.
+        self._rows: Optional[Dict[str, dict]] = {}
         self._completed = 0
-        self._total: Optional[int] = None
         self._batch: Optional[BatchResult] = None
-        self._result_keys: Optional[Tuple[str, ...]] = None
-        self._spec_by_key: Optional[Dict[str, dict]] = None
         self._error: Optional[str] = None
-        self._done = threading.Event()
-        # Row streaming: per-scenario cache keys (known at submit time)
-        # plus the payloads of keys resolved so far.  The condition guards
-        # the payload map and wakes blocked iter_rows subscribers whenever
-        # new rows land or the job reaches a terminal state.
-        self._row_keys: Optional[Tuple[str, ...]] = (
-            tuple(keys) if keys is not None else None
-        )
-        self._rows_cond = threading.Condition()
-        self._row_payloads: Dict[str, dict] = {}
 
     # -- written by the batch thread -----------------------------------
-    def _on_progress(self, completed: int, total: int) -> None:
-        with self._lock:
-            self._total = total
-            if completed > self._completed:
-                self._completed = completed
-
-    def _publish_rows(self, rows: Sequence[Tuple[int, str, dict]]) -> None:
-        """Make finished rows available to :meth:`iter_rows` subscribers.
+    def _publish(self, pairs: Iterable[Tuple[str, dict]]) -> None:
+        """Make resolved ``(key, payload)`` pairs available to readers.
 
         Idempotent per key: a shard re-executed after a pool or worker
-        failover republishes the same (key, payload) pairs, and the first
-        payload wins — subscribers therefore never see a duplicate row.
+        failover republishes the same pairs, and the first payload wins —
+        subscribers never see a duplicate row and progress never
+        double-counts.
         """
-        with self._rows_cond:
-            for _index, key, payload in rows:
-                self._row_payloads.setdefault(key, payload)
-            self._rows_cond.notify_all()
+        with self._cond:
+            rows = self._rows
+            if rows is None:
+                return
+            for key, payload in pairs:
+                if key not in rows:
+                    rows[key] = payload
+                    self._completed += 1
+            self._cond.notify_all()
 
-    def _finish(
-        self,
-        batch: BatchResult,
-        keys: Optional[Sequence[str]] = None,
-        specs: Optional[Sequence[ScenarioSpec]] = None,
-    ) -> None:
-        spill = self._spill and keys is not None and specs is not None
-        result_keys: Optional[Tuple[str, ...]] = None
-        spec_by_key: Optional[Dict[str, dict]] = None
-        if spill:
-            first_payload: Dict[str, dict] = {}
-            spec_by_key = {}
-            for key, spec, payload in zip(keys, specs, batch.results):
-                if key not in first_payload:
-                    first_payload[key] = payload
-                    spec_by_key[key] = spec.to_dict()
-            # Spill only when the cache can actually retain the result
-            # set: the in-memory LRU fits it, or a disk tier (which never
-            # evicts) is configured.  Otherwise rehydration would recompute
-            # most of the grid on *every* poll — each put() evicting an
-            # earlier key — so an oversized job keeps its payloads instead.
-            if (
-                len(first_payload) > self._cache.max_entries
-                and not self._cache.persistent
-            ):
-                spill = False
-                spec_by_key = None
+    def _finish(self, batch: BatchResult) -> None:
+        with self._cond:
+            rows = self._rows
+        cache = self._cache
+        # Spill only when the cache can actually retain the result set:
+        # the in-memory LRU fits it, or a disk tier (which never evicts)
+        # is configured.  Otherwise reading the job back would recompute
+        # most of the grid on *every* poll — each put() evicting an
+        # earlier key — so an oversized job keeps its payloads instead.
+        spill = cache is not None and (
+            len(rows) <= cache.max_entries or cache.persistent
+        )
         if spill:
             # Make sure every payload is in the cache before dropping it
-            # from the job (run_batch already stored computed entries; this
-            # covers a churned LRU at the cost of one lookup per unique
-            # key).
-            for key, payload in first_payload.items():
-                self._cache.ensure(key, payload)
-            result_keys = tuple(keys)
-            batch = replace(batch, results=())
-        with self._lock:
-            self._batch = batch
-            self._result_keys = result_keys
-            self._spec_by_key = spec_by_key
-            self._completed = batch.num_unique
-            self._total = batch.num_unique
+            # from the job (run_batch already stored computed entries;
+            # this covers a churned LRU at the cost of one lookup per
+            # unique key).
+            for key, payload in rows.items():
+                cache.ensure(key, payload)
+        with self._cond:
+            self._batch = replace(batch, results=())
+            if spill:
+                self._rows = None
+            self._completed = self._num_unique
             self._state = "done"
-        self._done.set()
-        with self._rows_cond:
-            if result_keys is not None:
-                # Spilled: streamed payloads now live in the cache — drop
-                # the row map so the job pins no payload copies; late
-                # subscribers rehydrate per key instead.
-                self._row_payloads.clear()
-            self._rows_cond.notify_all()
+            self._cond.notify_all()
 
     def _fail(self, error: BaseException) -> None:
-        with self._lock:
+        with self._cond:
             self._error = str(error)
             self._state = "error"
-        self._done.set()
-        with self._rows_cond:
-            self._rows_cond.notify_all()
+            self._cond.notify_all()
 
     # -- read by pollers ------------------------------------------------
     @property
     def state(self) -> str:
         """``running``, ``done`` or ``error``."""
-        with self._lock:
+        with self._cond:
             return self._state
 
     @property
     def done(self) -> bool:
         """True once the batch finished (successfully or not)."""
-        return self._done.is_set()
+        return self.state != "running"
 
     @property
     def spilled(self) -> bool:
         """True once the finished results live in the cache, not the job."""
-        with self._lock:
-            return self._result_keys is not None
+        with self._cond:
+            return self._rows is None
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the job finishes; returns False on timeout."""
-        return self._done.wait(timeout)
+        with self._cond:
+            return self._cond.wait_for(lambda: self._state != "running", timeout)
 
     def iter_rows(self, start: int = 0):
         """Yield ``(index, key, payload)`` per scenario row, in index order.
@@ -398,117 +371,81 @@ class BatchJob:
         row long before the batch finishes.  Blocks between rows.  The
         stream is pull-based — any number of subscribers each receive the
         full ordered sequence independently, and ``start`` is a resume
-        cursor skipping rows below that index.  On a finished job
-        (including spilled and journal-recovered handles) rows rehydrate
-        from the cache by key, recomputing evicted entries from the
-        retained spec.  Raises :class:`InvalidProblemError` once the
-        stream reaches a row of a failed job.
+        cursor skipping rows below that index.  On a spilled job
+        (including journal-recovered handles) rows are read back from the
+        cache by key, recomputing evicted entries from their spec dict.
+        Raises :class:`InvalidProblemError` once the stream reaches a row
+        of a failed job.
         """
         if start < 0:
             raise InvalidProblemError(f"row start must be >= 0, got {start}")
+        return self._results(start)
+
+    def _results(self, start: int = 0):
+        """The one row reader behind :meth:`iter_rows`, :meth:`result`
+        and :meth:`to_dict`: ``(index, key, payload)`` from ``start``."""
+        fetched: Dict[str, dict] = {}
         for index in range(start, self.num_scenarios):
-            key: Optional[str] = None
-            payload: Optional[dict] = None
-            with self._rows_cond:
+            key = self._keys[index]
+            with self._cond:
                 while True:
-                    keys = (
-                        self._row_keys
-                        if self._row_keys is not None
-                        else self._result_keys
-                    )
-                    if keys is not None:
-                        key = keys[index]
-                        payload = self._row_payloads.get(key)
-                        if payload is not None:
-                            break
-                    if self._done.is_set():
+                    rows = self._rows
+                    payload = rows.get(key) if rows is not None else None
+                    if payload is not None or self._state == "done":
                         break
-                    # The timeout is pure defence in depth: _finish/_fail
-                    # notify under the condition, so a terminal state is
-                    # never silently missed.
-                    self._rows_cond.wait(1.0)
+                    if self._state == "error":
+                        raise InvalidProblemError(
+                            f"job {self.job_id} failed: {self._error}"
+                        )
+                    self._cond.wait()
             if payload is None:
-                payload, key = self._finished_row(index)
+                # Outside the condition, so a recompute never blocks
+                # progress polls; duplicates reuse the first fetch.
+                payload = fetched.get(key)
+                if payload is None:
+                    payload = fetched[key] = self._fetch(key)
             yield index, key, payload
 
-    def _finished_row(self, index: int) -> Tuple[dict, str]:
-        """One row of a terminal job: ``(payload, key)``, raising on error.
-
-        Spilled jobs fetch the payload through :meth:`_cached_payload`;
-        unspilled jobs index straight into the retained results tuple.
-        """
-        with self._lock:
-            error = self._error
-            batch = self._batch
-            keys = self._row_keys if self._row_keys is not None else self._result_keys
-            spilled = self._result_keys is not None
-            spec_by_key = dict(self._spec_by_key or {})
-        if batch is None:
-            raise InvalidProblemError(f"job {self.job_id} failed: {error}")
-        key = keys[index] if keys is not None else ""
-        if not spilled:
-            return batch.results[index], key
-        return self._cached_payload(key, spec_by_key), key
-
-    def _cached_payload(self, key: str, spec_by_key: Mapping[str, dict]) -> dict:
+    def _fetch(self, key: str) -> dict:
         """``key``'s payload from the cache, recomputed and stored on a miss.
 
         A miss means the entry was evicted from every cache tier; its
-        retained canonical spec recomputes it bit-identically (seeded
-        determinism), and the put saves the next poller the work.
+        spec dict recomputes it bit-identically (seeded determinism), and
+        the put saves the next reader the work.
         """
         assert self._cache is not None
         payload = self._cache.get(key)
         if payload is None:
-            payload = execute_spec(spec_from_dict(spec_by_key[key]))
+            payload = execute_spec(spec_from_dict(self._spec_by_key[key]))
             self._cache.put(key, payload)
         return payload
-
-    def _rehydrated_results(self) -> List[dict]:
-        """Rebuild the ordered results list through :meth:`_cached_payload`.
-
-        Runs without the job lock so a recompute never blocks progress
-        polls.
-        """
-        with self._lock:
-            keys = self._result_keys
-            spec_by_key = dict(self._spec_by_key or {})
-        assert keys is not None
-        payload_by_key: Dict[str, dict] = {}
-        for key in keys:
-            if key not in payload_by_key:
-                payload_by_key[key] = self._cached_payload(key, spec_by_key)
-        return [payload_by_key[key] for key in keys]
 
     def result(self, timeout: Optional[float] = None) -> BatchResult:
         """The finished :class:`BatchResult`; raises on failure/timeout.
 
-        For a spilled job the ``results`` tuple is rehydrated from the
-        cache on each call.
+        The ``results`` tuple is rebuilt from the job's rows on each call.
         """
-        if not self._done.wait(timeout):
+        if not self.wait(timeout):
             raise TimeoutError(f"job {self.job_id} still running")
-        with self._lock:
+        with self._cond:
             batch = self._batch
-            spilled = self._result_keys is not None
             error = self._error
         if batch is None:
             raise InvalidProblemError(f"job {self.job_id} failed: {error}")
-        if not spilled:
-            return batch
-        return replace(batch, results=tuple(self._rehydrated_results()))
+        return replace(
+            batch, results=tuple(payload for _i, _k, payload in self._results())
+        )
 
     def to_dict(self, include_results: bool = True) -> dict:
         """JSON form for ``GET /jobs/<id>``: state, progress, result."""
-        with self._lock:
-            total = self._total if self._total is not None else self.num_scenarios
+        with self._cond:
             payload: Dict[str, object] = {
                 "job_id": self.job_id,
                 "state": self._state,
                 "num_scenarios": self.num_scenarios,
                 "progress": {
                     "completed": self._completed,
-                    "total": total,
+                    "total": self._num_unique,
                 },
             }
             if self.recovered:
@@ -516,14 +453,11 @@ class BatchJob:
             if self._error is not None:
                 payload["error"] = self._error
             batch = self._batch
-            spilled = self._result_keys is not None
             if batch is not None:
                 payload["stats"] = batch.to_dict()
-                payload["spilled"] = spilled
-                if include_results and not spilled:
-                    payload["results"] = list(batch.results)
-        if batch is not None and include_results and spilled:
-            payload["results"] = self._rehydrated_results()
+                payload["spilled"] = self._rows is None
+        if batch is not None and include_results:
+            payload["results"] = [row for _i, _k, row in self._results()]
         return payload
 
 
@@ -623,6 +557,9 @@ class ScenarioScheduler:
         self.cache = cache if cache is not None else ResultCache()
         self.engine_version = engine_version
         self.worker_pool = self._as_pool(workers)
+        # A pool built here from URLs is the scheduler's to close; one the
+        # caller passed in is the caller's.
+        self._owns_worker_pool = self.worker_pool is not workers
         self.journal = journal
         self.metrics = metrics if metrics is not None else telemetry.METRICS
         self.tracer = tracer if tracer is not None else telemetry.TRACER
@@ -712,12 +649,16 @@ class ScenarioScheduler:
         """Shut the local process pool down (idempotent).
 
         Waits for shards already running in it; a batch still in flight
-        finishes serially.  A later batch builds a fresh pool.
+        finishes serially.  A later batch builds a fresh pool.  A worker
+        pool the scheduler built from URLs is closed too (its idle
+        keep-alive connections dropped); one passed in is left alone.
         """
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown()
+        if self._owns_worker_pool and self.worker_pool is not None:
+            self.worker_pool.close()
 
     def _as_pool(self, workers: Optional[WorkersLike]) -> Optional[RemoteWorkerPool]:
         if workers is None:
@@ -761,8 +702,7 @@ class ScenarioScheduler:
         max_workers: Optional[int] = None,
         shard_size: Optional[int] = None,
         workers: Optional[WorkersLike] = None,
-        progress: Optional[Callable[[int, int], None]] = None,
-        on_rows: Optional[Callable[[Sequence[Tuple[int, str, dict]]], None]] = None,
+        on_rows: Optional[Callable[[List[Tuple[str, dict]]], None]] = None,
         _keys: Optional[Sequence[str]] = None,
         _journal_job_id: Optional[str] = None,
     ) -> BatchResult:
@@ -773,19 +713,14 @@ class ScenarioScheduler:
         specs grouped into
         one dispatch unit; ``None`` picks a size that gives every executor
         a few shards.  ``workers`` selects remote executors for this batch
-        (defaulting to the pool given at construction).  ``progress`` is
-        called as ``progress(completed_unique, total_unique)`` while the
-        batch runs; invocations are serialised under the batch's progress
-        lock, so consecutive calls never report a lower count after a
-        higher one — keep the callback fast and never let it raise.
-        ``on_rows`` receives finished *scenario rows* as
-        ``[(index, key, payload), ...]`` — cache hits at batch start, then
-        every shard's rows the moment it completes (duplicate scenarios
-        resolve together with the first occurrence of their key); calls
-        are serialised under the same progress lock.  A shard re-executed
-        after a failover may republish rows, so the callback must be
-        idempotent per key (:meth:`BatchJob._publish_rows` is).  None
-        of these parameters affect the numeric results.
+        (defaulting to the pool given at construction; a pool built here
+        from URLs is closed when the batch ends, a pool passed in never
+        is).  ``on_rows`` receives newly resolved *unique keys* as
+        ``[(key, payload), ...]`` — the cache hits at batch start, then
+        one call per shard the moment it completes; calls are serialised
+        under one lock, so keep the callback fast and never let it raise.
+        It should be idempotent per key (:meth:`BatchJob._publish` is).
+        None of these parameters affect the numeric results.
 
         Every batch is traced (batch span → dedup / cache_consult /
         shard_build phase spans → one span per executed shard) under the
@@ -807,20 +742,26 @@ class ScenarioScheduler:
         # straight off the handle; synchronous batches get a fresh id,
         # reported back through the stats block.
         trace_id = _journal_job_id if _journal_job_id is not None else uuid.uuid4().hex
-        with self.tracer.span(
-            "batch", trace_id=trace_id, attrs={"num_scenarios": len(specs)}
-        ) as batch_span:
-            batch = self._run_batch_inner(
-                specs,
-                max_workers,
-                shard_size,
-                workers,
-                progress,
-                on_rows,
-                _keys,
-                _journal_job_id,
-                batch_span,
-            )
+        pool = self.worker_pool if workers is None else self._as_pool(workers)
+        try:
+            with self.tracer.span(
+                "batch", trace_id=trace_id, attrs={"num_scenarios": len(specs)}
+            ) as batch_span:
+                batch = self._run_batch_inner(
+                    specs,
+                    max_workers,
+                    shard_size,
+                    pool,
+                    on_rows,
+                    _keys,
+                    _journal_job_id,
+                    batch_span,
+                )
+        finally:
+            if pool is not None and pool is not workers and pool is not self.worker_pool:
+                # Built from URLs for this batch only: drop its idle
+                # keep-alive connections.
+                pool.close()
         duration = time.monotonic() - start
         batch = replace(
             batch, duration_seconds=duration, since=started_at, trace_id=trace_id
@@ -840,9 +781,8 @@ class ScenarioScheduler:
         specs: List[ScenarioSpec],
         max_workers: Optional[int],
         shard_size: Optional[int],
-        workers: Optional[WorkersLike],
-        progress: Optional[Callable[[int, int], None]],
-        on_rows: Optional[Callable[[Sequence[Tuple[int, str, dict]]], None]],
+        pool: Optional[RemoteWorkerPool],
+        on_rows: Optional[Callable[[List[Tuple[str, dict]]], None]],
         _keys: Optional[Sequence[str]],
         _journal_job_id: Optional[str],
         batch_span,
@@ -854,8 +794,8 @@ class ScenarioScheduler:
         method's own bookkeeping) and grafts them on via ``replace``.
         """
         # ``_keys`` lets submit_job hand down the cache keys it already
-        # computed for the result spill instead of hashing every spec a
-        # second time; it must be spec-for-spec aligned.
+        # computed for its job instead of hashing every spec a second
+        # time; it must be spec-for-spec aligned.
         keys = (
             list(_keys)
             if _keys is not None
@@ -906,53 +846,17 @@ class ScenarioScheduler:
             # the end of an uninterrupted run.
             self._journal_write(self.journal.record_completed, journal_id, hit_keys)
 
-        total_unique = len(unique_keys)
-        progress_lock = threading.Lock()
-        completed = {"specs": cache_hits}
+        rows_lock = threading.Lock()
 
-        # Scenario indices per cache key, duplicates included: when a key
-        # resolves, *every* row sharing it becomes ready at once.
-        indices_by_key: Dict[str, List[int]] = {}
-        if on_rows is not None:
-            for index, key in enumerate(keys):
-                indices_by_key.setdefault(key, []).append(index)
+        def publish(pairs: List[Tuple[str, dict]]) -> None:
+            # Serialised: concurrent dispatcher threads never interleave
+            # inside the callback.
+            if on_rows is not None and pairs:
+                with rows_lock:
+                    on_rows(pairs)
 
-        def publish(resolved: Sequence[Tuple[str, dict]]) -> None:
-            # Caller holds progress_lock: row publication is serialised
-            # with progress notes, so a subscriber that already saw row N
-            # can never observe a progress count from before N resolved.
-            if on_rows is None:
-                return
-            rows = [
-                (index, key, payload)
-                for key, payload in resolved
-                for index in indices_by_key.get(key, ())
-            ]
-            if rows:
-                on_rows(rows)
+        publish([(key, payload_by_key[key]) for key in hit_keys])
 
-        def note(num_specs: int, resolved: Sequence[Tuple[str, dict]] = ()) -> None:
-            if progress is None and on_rows is None:
-                return
-            # The callbacks fire while the lock is held: concurrent
-            # dispatcher threads would otherwise race between computing
-            # ``done`` and reporting it, letting a lower count land after a
-            # higher one.
-            with progress_lock:
-                publish(resolved)
-                if progress is not None:
-                    completed["specs"] = min(
-                        total_unique, completed["specs"] + num_specs
-                    )
-                    progress(completed["specs"], total_unique)
-
-        if progress is not None or on_rows is not None:
-            with progress_lock:
-                publish([(key, payload_by_key[key]) for key in hit_keys])
-                if progress is not None:
-                    progress(cache_hits, total_unique)
-
-        pool = self.worker_pool if workers is None else self._as_pool(workers)
         num_executors = 1 + (len(pool) if pool is not None else 0)
         with self.tracer.span("shard_build") if trace_phases else _NULL_SPAN as span:
             shards = _split_shards(
@@ -973,15 +877,16 @@ class ScenarioScheduler:
             # Called (possibly from a dispatcher thread) the moment shard
             # ``index`` completes: its payloads become durable — cache
             # first, then the journal row that declares them recoverable —
-            # before the progress note, so a crash can under-journal but
+            # before they are published, so a crash can under-journal but
             # never journal a key whose payload was not stored.
-            for key, payload in zip(shard_keys[index], payloads):
+            pairs = list(zip(shard_keys[index], payloads))
+            for key, payload in pairs:
                 self.cache.put(key, payload)
             if journal_id is not None:
                 self._journal_write(
                     self.journal.record_completed, journal_id, shard_keys[index]
                 )
-            note(len(shards[index]), list(zip(shard_keys[index], payloads)))
+            publish(pairs)
 
         shard_payloads, dispatch = self._dispatch(
             shards, pool, max_workers, record, batch_span
@@ -993,7 +898,7 @@ class ScenarioScheduler:
         return BatchResult(
             results=tuple(payload_by_key[key] for key in keys),
             num_scenarios=len(specs),
-            num_unique=total_unique,
+            num_unique=len(unique_keys),
             cache_hits=cache_hits,
             evaluated=len(pending),
             num_shards=len(shards),
@@ -1074,7 +979,7 @@ class ScenarioScheduler:
         while results stay bit-identical because placement never changes
         what a seeded spec computes.  ``record(index, payloads)`` fires once
         per completed shard, from whichever thread finished it — the caller
-        uses it for cache/journal writes and progress accounting.
+        uses it for cache/journal writes and row publication.
         Local-only execution is this same loop with zero remote workers
         (``pool`` is ``None``).
 
@@ -1358,8 +1263,8 @@ class ScenarioScheduler:
                 # A worker that died after the local slot drained the
                 # queue left its requeued shard sitting there — and that
                 # same index is in `missing`.  Drop the residue before
-                # re-pushing so no shard runs twice (and note() never
-                # double-counts).
+                # re-pushing so no shard runs twice (and record() never
+                # fires twice for one shard).
                 queue.drain()
                 for index in reversed(missing):
                     queue.push_front(index)
@@ -1381,7 +1286,6 @@ class ScenarioScheduler:
         max_workers: Optional[int] = None,
         shard_size: Optional[int] = None,
         workers: Optional[WorkersLike] = None,
-        spill_results: bool = True,
         job_id: Optional[str] = None,
         recovered: bool = False,
     ) -> BatchJob:
@@ -1391,9 +1295,9 @@ class ScenarioScheduler:
         immediately) and ``GET /jobs/<id>`` (state + partial progress, and
         the full results once done), so long grids never block a request
         thread.  Finished jobs are retained up to :data:`MAX_RETAINED_JOBS`;
-        with ``spill_results`` (the default) a finished job's payloads live
-        in the scheduler's content-addressed cache and the job keeps only
-        their keys, rehydrating on access.
+        a finished job spills its payloads into the scheduler's
+        content-addressed cache when the cache can hold them, keeping only
+        their keys and spec dicts (see :class:`BatchJob`).
 
         With a journal attached, the submission (keys, canonical spec
         dicts, options) is journaled *before* the batch thread starts, so
@@ -1409,25 +1313,21 @@ class ScenarioScheduler:
         # failure discovered by polling.
         ensure_executable(specs)
         keys = [spec.cache_key(self.engine_version) for spec in specs]
+        spec_dicts = [spec.to_dict() for spec in specs]
         job = BatchJob(
-            job_id=job_id if job_id is not None else uuid.uuid4().hex,
-            num_scenarios=len(specs),
+            job_id if job_id is not None else uuid.uuid4().hex,
+            keys,
+            spec_dicts,
             cache=self.cache,
-            spill_results=spill_results,
             recovered=recovered,
-            keys=keys,
         )
         if self.journal is not None:
             self._journal_write(
                 self.journal.record_submission,
                 job.job_id,
                 keys,
-                [spec.to_dict() for spec in specs],
-                options={
-                    "max_workers": max_workers,
-                    "shard_size": shard_size,
-                    "spill_results": bool(spill_results),
-                },
+                spec_dicts,
+                options={"max_workers": max_workers, "shard_size": shard_size},
                 engine_version=self.engine_version,
             )
         self._register_job(job)
@@ -1442,12 +1342,11 @@ class ScenarioScheduler:
                     max_workers,
                     shard_size,
                     workers,
-                    progress=job._on_progress,
-                    on_rows=job._publish_rows,
+                    on_rows=job._publish,
                     _keys=keys,
                     _journal_job_id=job.job_id,
                 )
-                job._finish(batch, keys=keys, specs=specs)
+                job._finish(batch)
                 if self.journal is not None:
                     self._journal_write(
                         self.journal.record_state,
@@ -1508,7 +1407,7 @@ class ScenarioScheduler:
         """Rebuild the job table from the journal after a restart.
 
         Finished jobs come back as spilled handles (keys + spec dicts;
-        payloads rehydrate from the cache, recomputing on eviction exactly
+        payloads are read from the cache, recomputing on eviction exactly
         like a live spilled job).  Jobs journaled as ``running`` — the
         coordinator died mid-batch — are *resumed* under their original
         id and options: shards journaled complete resolve as disk-cache
@@ -1548,61 +1447,34 @@ class ScenarioScheduler:
                     specs,
                     max_workers=max_workers if isinstance(max_workers, int) else None,
                     shard_size=shard_size if isinstance(shard_size, int) else None,
-                    spill_results=bool(options.get("spill_results", True)),
                     job_id=record.job_id,
                     recovered=True,
                 )
                 summary["resumed"] += 1
-            elif record.state == "error":
-                job = BatchJob(
-                    record.job_id,
-                    record.num_scenarios,
-                    cache=self.cache,
-                    recovered=True,
-                )
+                continue
+            job = BatchJob(
+                record.job_id,
+                record.keys,
+                record.spec_dicts,
+                cache=self.cache,
+                recovered=True,
+            )
+            if record.state == "error":
                 job._fail(
                     InvalidProblemError(record.error or "failed before shutdown")
                 )
-                self._register_job(job)
                 summary["failed"] += 1
             else:  # done
-                job = self._rehydrate_finished_job(record)
-                self._register_job(job)
+                job._finish(
+                    BatchResult.from_stats(
+                        record.stats,
+                        num_scenarios=record.num_scenarios,
+                        num_unique=len(set(record.keys)),
+                    )
+                )
                 summary["rehydrated"] += 1
+            self._register_job(job)
         return summary
-
-    def _rehydrate_finished_job(self, record: JournalJobRecord) -> BatchJob:
-        """A spilled ``done`` handle rebuilt from one journal record.
-
-        Equivalent to the state :meth:`BatchJob._finish` leaves behind
-        after spilling: ordered keys plus one canonical spec dict per
-        unique key, payloads fetched from the cache (or recomputed from
-        the spec) on access.
-        """
-        job = BatchJob(
-            record.job_id,
-            record.num_scenarios,
-            cache=self.cache,
-            spill_results=True,
-            recovered=True,
-        )
-        spec_by_key: Dict[str, dict] = {}
-        for key, spec_dict in zip(record.keys, record.spec_dicts):
-            spec_by_key.setdefault(key, spec_dict)
-        batch = BatchResult.from_stats(
-            record.stats,
-            num_scenarios=record.num_scenarios,
-            num_unique=len(spec_by_key),
-        )
-        with job._lock:
-            job._batch = batch
-            job._result_keys = tuple(record.keys)
-            job._spec_by_key = spec_by_key
-            job._completed = batch.num_unique
-            job._total = batch.num_unique
-            job._state = "done"
-        job._done.set()
-        return job
 
 
 def _count_pool_trials(

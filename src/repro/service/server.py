@@ -36,7 +36,10 @@ Endpoints
     ``evicted_jobs`` retention counter.
 ``GET /jobs/<id>``
     State plus partial progress counts while running; the full
-    ``results``/``stats`` once done.  Unknown ids return ``404``.
+    ``results``/``stats`` once done.  ``progress`` counts *unique*
+    scenarios: ``total`` is the job's unique-key count from the first
+    poll on, ``completed`` the unique keys resolved so far.  Unknown ids
+    return ``404``.
 ``GET /jobs/<id>/rows``
     Streams the job's result rows *as they finish*, index-ordered: by
     default Server-Sent Events (``id:`` = row index, ``event: row`` with

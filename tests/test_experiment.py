@@ -273,6 +273,22 @@ class TestRunAndPersist:
         assert rerun.stats["cache_hits"] > 0
         assert rerun.rows == result.rows
 
+    def test_run_job_spills_with_unchanged_rows(self):
+        plan = _small_experiment().compile()
+        scheduler = ScenarioScheduler(cache=ResultCache())
+        batch = ScenarioScheduler(cache=ResultCache()).run_batch(
+            [cell.spec for cell in plan.cells], max_workers=1
+        )
+        expected = [
+            plan._table_row(cell, payload, scheduler.engine_version)
+            for cell, payload in zip(plan.cells, batch.results)
+        ]
+        result = plan.run(scheduler=scheduler)
+        (job,) = scheduler.jobs()
+        # The finished experiment job pins no payload copies.
+        assert job.spilled is True
+        assert result.rows == expected
+
     def test_persist_writes_json_and_csv(self, tmp_path):
         plan = _small_experiment().compile()
         result = plan.run(

@@ -418,6 +418,49 @@ class TestSchedulerRecovery:
         assert "worker exploded" in snapshot["error"]
         scheduler.journal.close()
 
+    @pytest.mark.parametrize(
+        "cache_kind, spilled", [("small-memory", False), ("disk", True)]
+    )
+    def test_every_row_reader_matches_run_batch(self, tmp_path, cache_kind, spilled):
+        # A batch with duplicate specs, read back every way a job exposes
+        # its rows, must be byte-identical to the synchronous batch: a job
+        # that keeps its rows (the 2-slot memory cache cannot hold its 4
+        # unique results) and one that spills into a disk tier alike.
+        specs = montecarlo_grid_specs(
+            [(2, 1, 0), (2, 3, 1), (3, 2, 0), (3, 4, 1)], num_trials=16, seed=3
+        )
+        specs += [specs[0], specs[2]]
+        journal_path = str(tmp_path / "journal.sqlite")
+
+        def cache():
+            if cache_kind == "disk":
+                return ResultCache(disk_path=str(tmp_path / "cache"))
+            return ResultCache(max_entries=2)
+
+        def canonical(rows):
+            return json.dumps(list(rows), sort_keys=True, separators=(",", ":"))
+
+        expected = canonical(
+            ScenarioScheduler().run_batch(specs, max_workers=1).results
+        )
+        first = ScenarioScheduler(cache=cache(), journal=JobJournal(journal_path))
+        job = first.submit_job(specs, max_workers=1, shard_size=2)
+        assert job.wait(timeout=300)
+        assert job.spilled is spilled
+        assert job.to_dict()["spilled"] is spilled
+        assert canonical(row for _i, _k, row in job.iter_rows()) == expected
+        assert canonical(job.result().results) == expected
+        assert canonical(job.to_dict()["results"]) == expected
+        first.journal.close()
+
+        second = ScenarioScheduler(cache=cache(), journal=JobJournal(journal_path))
+        assert second.recover_jobs()["rehydrated"] == 1
+        recovered = second.get_job(job.job_id)
+        assert recovered.spilled is True  # a recovered job holds no payloads
+        assert canonical(row for _i, _k, row in recovered.iter_rows()) == expected
+        assert canonical(recovered.result().results) == expected
+        second.journal.close()
+
     def test_engine_version_mismatch_skipped(self, tmp_path):
         journal_path = str(tmp_path / "journal.sqlite")
         specs = montecarlo_grid_specs([(2, 1, 0)], num_trials=8, seed=1)

@@ -141,40 +141,48 @@ class TestBatchBodyValidation:
 
 
 # ----------------------------------------------------------------------
-# Bugfix: progress callbacks must never report a lower count after a
-# higher one (emission now happens under the progress lock)
+# Bugfix: progress polls must never report a lower count after a higher
+# one (rows are published under one lock, counted once per key)
 # ----------------------------------------------------------------------
 class TestProgressEmissionOrder:
     def test_progress_monotone_under_concurrent_dispatchers(self, worker):
         specs = simulate_grid_specs(
             [(2, 1, 0), (2, 3, 1), (3, 2, 0)], horizon=40.0
         ) + simulate_grid_specs([(2, 1, 0)], horizon=35.0)
+        scheduler = ScenarioScheduler(workers=[worker.url, worker.url])
+        job = scheduler.submit_job(specs, max_workers=1, shard_size=1)
         events = []
-        batch = ScenarioScheduler(workers=[worker.url, worker.url]).run_batch(
-            specs,
-            max_workers=1,
-            shard_size=1,
-            progress=lambda done, total: events.append((done, total)),
-        )
+        while True:
+            finished = job.done
+            progress = job.to_dict(include_results=False)["progress"]
+            events.append((progress["completed"], progress["total"]))
+            if finished:
+                break
+            time.sleep(0.001)
+        batch = job.result()
+        scheduler.close()
         dones = [done for done, _total in events]
-        assert dones == sorted(dones)  # strictly serialised emission
+        assert dones == sorted(dones)  # monotone across polls
         assert events[-1] == (batch.num_unique, batch.num_unique)
         assert all(total == batch.num_unique for _done, total in events)
 
 
 # ----------------------------------------------------------------------
-# Bugfix: the async poll line must be well-formed before the first
-# progress callback (no "0/None unique scenarios")
+# Bugfix: the async poll line must be well-formed before the first row
+# lands (no "0/None unique scenarios")
 # ----------------------------------------------------------------------
-class TestAsyncPollTotals:
-    def test_fresh_job_reports_submitted_count_not_none(self):
-        job = BatchJob(job_id="j", num_scenarios=7)
-        progress = job.to_dict(include_results=False)["progress"]
-        assert progress == {"completed": 0, "total": 7}
+_SEVEN_KEYS_FOUR_UNIQUE = ["a", "b", "a", "c", "d", "b", "a"]
 
-    def test_total_switches_to_unique_count_once_known(self):
-        job = BatchJob(job_id="j", num_scenarios=7)
-        job._on_progress(2, 4)
+
+class TestAsyncPollTotals:
+    def test_fresh_job_reports_unique_count_not_none(self):
+        job = BatchJob(job_id="j", keys=_SEVEN_KEYS_FOUR_UNIQUE)
+        progress = job.to_dict(include_results=False)["progress"]
+        assert progress == {"completed": 0, "total": 4}
+
+    def test_completed_counts_unique_keys_as_they_land(self):
+        job = BatchJob(job_id="j", keys=_SEVEN_KEYS_FOUR_UNIQUE)
+        job._publish([("a", {"value": 0}), ("b", {"value": 1})])
         progress = job.to_dict(include_results=False)["progress"]
         assert progress == {"completed": 2, "total": 4}
 
@@ -756,15 +764,6 @@ class TestJobResultSpill:
         assert job.wait(timeout=300)
         assert job.spilled is True
         assert job.to_dict()["results"] == list(serial.results)
-
-    def test_spill_can_be_disabled(self):
-        specs = simulate_grid_specs([(2, 1, 0)], horizon=30.0)
-        scheduler = ScenarioScheduler()
-        job = scheduler.submit_job(specs, max_workers=1, spill_results=False)
-        assert job.wait(timeout=60)
-        assert job.spilled is False
-        assert job.to_dict()["spilled"] is False
-        assert len(job.result().results) == 1
 
     def test_spilled_job_over_http_identical_across_polls(self, worker):
         scenarios = [spec.to_dict() for spec in _spill_grid()]

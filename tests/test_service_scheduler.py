@@ -18,6 +18,7 @@ from repro.analysis.sweep import (
 )
 from repro.service import scheduler as scheduler_module
 from repro.service.cache import ResultCache
+from repro.service.remote import RemoteWorker, RemoteWorkerPool
 from repro.service.scheduler import (
     ScenarioScheduler,
     montecarlo_grid_specs,
@@ -174,8 +175,8 @@ class TestBrokenPoolFallback:
         )
         assert broken.submitted > good  # the pool really broke mid-batch
         assert list(batch.results) == list(serial.results)  # bit-identical
-        assert sorted(index for index, _key, _payload in rows) == list(
-            range(len(specs))
+        assert sorted(key for key, _payload in rows) == sorted(
+            spec.cache_key() for spec in specs
         )
         shard_spans = [
             child
@@ -340,6 +341,61 @@ class TestLongLivedPool:
         assert pools[1].submitted == len(second)  # all on the fresh pool
         assert list(broken.results) == _serial_results(first)
         assert list(fresh.results) == _serial_results(second)
+
+
+@pytest.fixture
+def built_workers(monkeypatch):
+    """Record every :class:`RemoteWorker` constructed (real workers)."""
+    built = []
+    real_init = RemoteWorker.__init__
+
+    def recording_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(RemoteWorker, "__init__", recording_init)
+    return built
+
+
+class TestWorkerPoolOwnership:
+    """A worker pool the scheduler builds from URLs is closed by the
+    scheduler; a pool the caller passes in is left open for the caller."""
+
+    def test_per_batch_url_pools_are_closed(self, serving, built_workers):
+        _server, url = serving
+        scheduler = ScenarioScheduler()
+        for offset in (220.0, 240.0, 260.0):
+            specs = _specs(offset, 3)
+            batch = scheduler.run_batch(
+                specs, max_workers=1, shard_size=1, workers=[url]
+            )
+            assert list(batch.results) == _serial_results(specs)
+        assert len(built_workers) == 3  # one fresh pool per batch
+        assert all(worker.dials > 0 for worker in built_workers)
+        assert all(worker._idle == [] for worker in built_workers)
+        scheduler.close()
+
+    def test_constructor_url_pool_closed_by_close(self, serving):
+        _server, url = serving
+        scheduler = ScenarioScheduler(workers=[url])
+        scheduler.run_batch(_specs(280.0, 3), max_workers=1, shard_size=1)
+        (worker,) = scheduler.worker_pool.workers
+        assert worker._idle  # kept alive between batches
+        scheduler.close()
+        assert worker._idle == []
+
+    def test_caller_pool_is_never_closed(self, serving):
+        _server, url = serving
+        pool = RemoteWorkerPool([url])
+        try:
+            for scheduler in (ScenarioScheduler(workers=pool), ScenarioScheduler()):
+                scheduler.run_batch(
+                    _specs(300.0, 3), max_workers=1, shard_size=1, workers=pool
+                )
+                scheduler.close()
+                assert pool.workers[0]._idle
+        finally:
+            pool.close()
 
 
 def _mc_specs():

@@ -63,26 +63,26 @@ class TestBatchJobIterRows:
     def test_rows_arrive_before_the_job_finishes(self):
         # Deterministic, no timing: drive the row sink by hand.
         keys = [f"k{i}" for i in range(4)]
-        job = BatchJob(job_id="j", num_scenarios=4, cache=None, keys=keys)
+        job = BatchJob(job_id="j", keys=keys)
         rows = iter(job.iter_rows())
-        job._publish_rows([(0, "k0", {"value": 0}), (1, "k1", {"value": 1})])
+        job._publish([("k0", {"value": 0}), ("k1", {"value": 1})])
         assert next(rows) == (0, "k0", {"value": 0})
         assert next(rows) == (1, "k1", {"value": 1})
         assert job.done is False  # both rows were delivered mid-run
 
     def test_duplicate_keys_share_the_first_payload(self):
         keys = ["a", "b", "a"]
-        job = BatchJob(job_id="j", num_scenarios=3, cache=None, keys=keys)
-        job._publish_rows([(0, "a", {"value": "first"}), (1, "b", {"value": 1})])
+        job = BatchJob(job_id="j", keys=keys)
+        job._publish([("a", {"value": "first"}), ("b", {"value": 1})])
         # Failover republication of an already-published key is a no-op.
-        job._publish_rows([(0, "a", {"value": "again"})])
+        job._publish([("a", {"value": "again"})])
         rows = iter(job.iter_rows())
         assert next(rows) == (0, "a", {"value": "first"})
         assert next(rows) == (1, "b", {"value": 1})
         assert next(rows) == (2, "a", {"value": "first"})
 
     def test_negative_start_rejected(self):
-        job = BatchJob(job_id="j", num_scenarios=1, cache=None, keys=["k"])
+        job = BatchJob(job_id="j", keys=["k"])
         with pytest.raises(InvalidProblemError):
             list(job.iter_rows(start=-1))
 
@@ -299,10 +299,8 @@ class TestRowsEndpoint:
         batch = ScenarioScheduler().run_batch(specs, max_workers=1)
         keys = [spec.cache_key() for spec in specs]
         for as_frames in (False, True):
-            job = BatchJob(
-                job_id=uuid.uuid4().hex, num_scenarios=3, cache=None, keys=keys
-            )
-            job._publish_rows(list(zip(range(3), keys, batch.results)))
+            job = BatchJob(job_id=uuid.uuid4().hex, keys=keys)
+            job._publish(list(zip(keys, batch.results)))
             streaming_server.scheduler._register_job(job)
             request = urllib.request.Request(
                 f"{streaming_server.url}/jobs/{job.job_id}/rows",
