@@ -60,6 +60,9 @@ ENGINE_RELEVANT = (
     # The experiment compiler derives per-cell seeds and content hashes;
     # changing it changes which specs (and hence payloads) a grid produces.
     "src/repro/experiment.py",
+    # ``to_jsonable`` and ``encode_float`` turn every result into its
+    # strict-JSON payload, so they shape every payload byte.
+    "src/repro/reporting.py",
     # The binary wire codec carries result payloads between coordinator
     # and workers; an encoding change (float representation, column
     # packing) could alter result bytes even though the engines did not

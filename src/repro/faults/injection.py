@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from ..exceptions import InvalidProblemError
 from ..geometry.rays import RayPoint
 from ..geometry.trajectory import Trajectory
 from ..geometry.visits import first_visits
-from ..simulation.engine import DEFAULT_ENGINE
+from ..simulation.engine import DEFAULT_ENGINE, validate_engine
 from ..simulation.monte_carlo import (
     FaultTrialBatch,
     SeedLike,
@@ -113,35 +113,86 @@ class RandomFaultTrial:
     ratio: float
 
 
-@dataclass
+@dataclass(init=False, eq=False)
 class FaultInjectionReport:
     """Aggregate of a fault-injection campaign.
 
     ``adversarial_ratio`` is the worst-case ratio over the same targets with
     the adversarial fault assignment, for comparison.  ``engine`` records
     which evaluation path produced the detection times.
+
+    A campaign keeps its evaluated chunks as columns — each chunk's
+    :class:`~repro.simulation.monte_carlo.FaultTrialBatch` (target indices
+    and fault matrix) and its detection times — plus one ratio column,
+    ``detection_times / distances[target_indices]``, the same IEEE division
+    as each trial's ``detection_time / target.distance``.  The summary
+    statistics read the ratio column; the per-trial :attr:`trials` records
+    are built on first access.  Constructing a report from a list of
+    :class:`RandomFaultTrial` records works as well.
     """
 
-    trials: List[RandomFaultTrial]
     adversarial_ratio: float
     engine: str = DEFAULT_ENGINE
     #: ``None`` for a fixed-count campaign; for an adaptive campaign, True
     #: when the target standard error was reached before the trial budget.
     converged: Optional[bool] = None
 
+    def __init__(
+        self,
+        trials: Sequence[RandomFaultTrial],
+        adversarial_ratio: float,
+        engine: str = DEFAULT_ENGINE,
+        converged: Optional[bool] = None,
+    ) -> None:
+        self._trials: Optional[List[RandomFaultTrial]] = list(trials)
+        self._chunks: Tuple[Tuple[FaultTrialBatch, np.ndarray], ...] = ()
+        self._ratios = np.asarray([trial.ratio for trial in self._trials], dtype=float)
+        self.adversarial_ratio = adversarial_ratio
+        self.engine = engine
+        self.converged = converged
+
+    @classmethod
+    def _from_chunks(
+        cls,
+        chunks: Sequence[Tuple[FaultTrialBatch, np.ndarray]],
+        adversarial_ratio: float,
+        engine: str,
+        converged: Optional[bool] = None,
+    ) -> "FaultInjectionReport":
+        """A report over evaluated ``(batch, detection_times)`` chunks."""
+        report = cls([], adversarial_ratio, engine=engine, converged=converged)
+        report._trials = None
+        report._chunks = tuple(chunks)
+        report._ratios = np.concatenate(
+            [_ratio_column(batch, times) for batch, times in report._chunks]
+        )
+        return report
+
+    @property
+    def trials(self) -> List[RandomFaultTrial]:
+        """Per-trial records in trial order, built once on first access."""
+        if self._trials is None:
+            self._trials = [
+                trial
+                for batch, times in self._chunks
+                for trial in _trials_from_batch(batch, times)
+            ]
+        return self._trials
+
     @property
     def mean_ratio(self) -> float:
         """Average ratio over all trials (``inf`` if any trial never detects)."""
-        if not self.trials:
+        if not self._ratios.size:
             return math.nan
-        return sum(trial.ratio for trial in self.trials) / len(self.trials)
+        # Python's left-to-right float sum, not NumPy's pairwise one.
+        return sum(self._ratios.tolist()) / self._ratios.size
 
     @property
     def max_ratio(self) -> float:
         """Worst ratio observed across the random trials."""
-        if not self.trials:
+        if not self._ratios.size:
             return math.nan
-        return max(trial.ratio for trial in self.trials)
+        return max(self._ratios.tolist())
 
     @property
     def slack(self) -> float:
@@ -152,10 +203,9 @@ class FaultInjectionReport:
     def statistics(self) -> TrialStatistics:
         """Rich trial statistics (mean, standard error, quantiles, batches).
 
-        Computed once and cached on the report — the trial list is treated
-        as immutable after construction.
+        Computed once from the ratio column and cached on the report.
         """
-        return TrialStatistics.from_sample([trial.ratio for trial in self.trials])
+        return TrialStatistics.from_sample(self._ratios)
 
     @property
     def std_error(self) -> float:
@@ -188,9 +238,9 @@ class FaultInjectionReport:
         """Empirical ``q``-quantile of the trial ratios (0 <= q <= 1)."""
         if not 0.0 <= q <= 1.0:
             raise InvalidProblemError(f"quantile must be in [0, 1], got {q}")
-        if not self.trials:
+        if not self._ratios.size:
             return math.nan
-        ordered = sorted(trial.ratio for trial in self.trials)
+        ordered = sorted(self._ratios.tolist())
         index = min(len(ordered) - 1, int(q * len(ordered)))
         return ordered[index]
 
@@ -209,9 +259,15 @@ def sample_spread_targets(
     """
     if count < 1:
         raise InvalidProblemError("need at least one target")
+    if not math.isfinite(horizon):
+        raise InvalidProblemError(f"horizon must be finite, got {horizon}")
+    top = math.log10(max(horizon, 10.0))
     targets: List[RayPoint] = []
     for _ in range(count):
-        exponent = rng.uniform(0.0, math.log10(max(horizon, 10.0)))
+        # ``rng.uniform(0.0, top)`` is ``0.0 + top * rng.random()``: the
+        # same single draw and the same bits, without uniform's argument
+        # handling on every call.
+        exponent = rng.random() * top
         targets.append(
             RayPoint(
                 ray=int(rng.integers(0, num_rays)),
@@ -219,6 +275,34 @@ def sample_spread_targets(
             )
         )
     return targets
+
+
+def _ratio_column(batch: FaultTrialBatch, detection_times: np.ndarray) -> np.ndarray:
+    """Every trial's ``detection_time / target.distance``, as one array."""
+    distances = np.asarray([target.distance for target in batch.targets], dtype=float)
+    return detection_times / distances[batch.target_indices]
+
+
+def _adversarial_ratio(
+    adversary, trajectories: Sequence[Trajectory], targets: Sequence[RayPoint], engine: str
+) -> float:
+    """The adversary's worst ratio over a fixed target pool.
+
+    The vectorized engine groups the pool by ray and takes the maximum from
+    one batched :func:`~repro.simulation.engine.best_candidate` pass; the
+    scalar engine (and any fault model without an order-statistic
+    confirmation rule) keeps the per-target ``response_at`` loop as the
+    oracle.  Both divide the same arrival times by the same distances, so
+    they agree exactly.
+    """
+    from ..simulation.engine import VECTORIZED_ENGINE, best_candidate, supports_vectorized
+
+    if engine == VECTORIZED_ENGINE and supports_vectorized(adversary.fault_model):
+        by_ray: Dict[int, List[float]] = {}
+        for target in targets:
+            by_ray.setdefault(target.ray, []).append(target.distance)
+        return best_candidate(trajectories, adversary.fault_model, by_ray).ratio
+    return max(adversary.response_at(trajectories, target).ratio for target in targets)
 
 
 def _trials_from_batch(
@@ -282,19 +366,21 @@ def simulate_random_faults(
     adaptive = (
         target_se is not None or max_trials is not None or chunk_trials is not None
     )
+    engine = validate_engine(engine)
     rng = as_generator(seed)
     trajectories = strategy.materialise(horizon)
 
     if targets is None:
         targets = sample_spread_targets(rng, problem.num_rays, horizon)
+    if not targets:
+        raise InvalidProblemError("need at least one target to sample from")
+    if any(target.distance <= 0 for target in targets):
+        raise InvalidProblemError("fault-injection targets must lie at a positive distance")
 
     # Adversarial reference over the same targets.
     from .adversary import Adversary
 
-    adversary = Adversary(problem)
-    adversarial_ratio = max(
-        adversary.response_at(trajectories, target).ratio for target in targets
-    )
+    adversarial_ratio = _adversarial_ratio(Adversary(problem), trajectories, targets, engine)
 
     if not adaptive:
         batch: FaultTrialBatch = sample_fault_trials(
@@ -307,10 +393,8 @@ def simulate_random_faults(
             horizon=horizon,
         )
         detection_times = fault_detection_times(trajectories, batch, engine=engine)
-        return FaultInjectionReport(
-            trials=_trials_from_batch(batch, detection_times),
-            adversarial_ratio=adversarial_ratio,
-            engine=engine,
+        return FaultInjectionReport._from_chunks(
+            [(batch, detection_times)], adversarial_ratio, engine
         )
 
     estimator = SequentialEstimator(
@@ -319,8 +403,7 @@ def simulate_random_faults(
         target_se=target_se,
     )
     chunk_seeds = iter_chunk_seeds(seed)
-    distances = np.asarray([target.distance for target in targets], dtype=float)
-    trials: List[RandomFaultTrial] = []
+    chunks: List[Tuple[FaultTrialBatch, np.ndarray]] = []
     chunk_index = 0
     while True:
         size = estimator.next_chunk()
@@ -336,16 +419,11 @@ def simulate_random_faults(
             horizon=horizon,
         )
         chunk_times = fault_detection_times(trajectories, chunk_batch, engine=engine)
-        std_error = estimator.add_chunk(
-            chunk_times / distances[chunk_batch.target_indices]
-        )
-        trials.extend(_trials_from_batch(chunk_batch, chunk_times))
+        std_error = estimator.add_chunk(_ratio_column(chunk_batch, chunk_times))
+        chunks.append((chunk_batch, chunk_times))
         if on_chunk is not None:
             on_chunk(chunk_index, size, estimator.trials_used, std_error)
         chunk_index += 1
-    return FaultInjectionReport(
-        trials=trials,
-        adversarial_ratio=adversarial_ratio,
-        engine=engine,
-        converged=estimator.converged,
+    return FaultInjectionReport._from_chunks(
+        chunks, adversarial_ratio, engine, converged=estimator.converged
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Optional
 
 import numpy as np
@@ -30,6 +31,12 @@ import numpy as np
 from .trajectory import _EPS, Trajectory
 
 __all__ = ["CompiledRay", "CompiledTrajectory"]
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.asarray(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -59,12 +66,19 @@ class CompiledRay:
         """Farthest distance from the origin ever visited on this ray."""
         return float(self.reaches[-1])
 
+    @cached_property
+    def _offsets_or_inf(self) -> np.ndarray:
+        """``offsets`` plus a trailing ``inf`` for distances beyond every piece."""
+        return _read_only(np.append(self.offsets, math.inf))
+
 
 class CompiledTrajectory:
     """Per-ray compiled arrival functions of one trajectory.
 
     Built from (and cached on) a :class:`Trajectory`; see the module
-    docstring for the representation.
+    docstring for the representation.  A trajectory may be shared by every
+    strategy in the process (see :data:`~repro.geometry.trajectory.TRAJECTORY_MEMO_SIZE`),
+    so the arrays are read-only.
     """
 
     __slots__ = ("_rays",)
@@ -76,9 +90,9 @@ class CompiledTrajectory:
             if not reaches:
                 continue
             self._rays[ray] = CompiledRay(
-                breakpoints=np.asarray(frontiers, dtype=float),
-                reaches=np.asarray(reaches, dtype=float),
-                offsets=np.asarray(offsets, dtype=float),
+                breakpoints=_read_only(frontiers),
+                reaches=_read_only(reaches),
+                offsets=_read_only(offsets),
             )
 
     def rays(self) -> Iterable[int]:
@@ -105,11 +119,12 @@ class CompiledTrajectory:
         even exactly at a breakpoint.
         """
         distances = np.asarray(distances, dtype=float)
-        out = np.full(distances.shape, math.inf)
         data = self._rays.get(ray)
-        if data is not None:
+        if data is None:
+            out = np.full(distances.shape, math.inf)
+        else:
+            # A distance beyond the last piece indexes the trailing inf.
             index = np.searchsorted(data.reaches, distances - _EPS, side="left")
-            hit = index < data.reaches.size
-            out[hit] = data.offsets[index[hit]] + distances[hit]
+            out = data._offsets_or_inf[index] + distances
         np.copyto(out, 0.0, where=distances <= _EPS)
         return out

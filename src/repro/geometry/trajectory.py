@@ -23,6 +23,17 @@ Two convenient constructors cover the strategies in the paper:
   line *without* returning to the origin between turns (turning points
   ``t1, -t2, t3, ...``).  This matches the standardised strategies of
   Section 2.
+
+Both constructors are pure functions of their inputs and a trajectory is
+immutable, so they serve repeated inputs from one process-wide LRU memo
+(:data:`TRAJECTORY_MEMO_SIZE` entries): strategies for the same problem
+and horizon band rebuild identical schedules, and a hit shares the
+:class:`Trajectory` object — with its lazily compiled arrays — instead of
+re-validating every :class:`Segment`.  Invalid inputs raise on every call;
+a failed build is never cached.  A memoized excursion schedule computes its
+arrival pieces straight from the ``(ray, radius)`` pairs and builds its
+segments only when asked, so the memo adds little to every full garbage
+collection.
 """
 
 from __future__ import annotations
@@ -30,7 +41,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .compiled import CompiledTrajectory
@@ -49,6 +61,11 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+
+#: Entries of the process-wide memo behind :func:`excursion_trajectory` and
+#: :func:`zigzag_trajectory`.  A stream of optimal-strategy scenarios over
+#: a handful of problems touches well under a hundred distinct schedules.
+TRAJECTORY_MEMO_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -139,24 +156,22 @@ class Trajectory:
         segs = tuple(segments)
         self._validate(segs)
         self._segments = segs
-        self._by_ray: dict[int, List[Segment]] = {}
-        for seg in segs:
-            self._by_ray.setdefault(seg.ray, []).append(seg)
-        self._start_times = [seg.start_time for seg in segs]
-        self._pieces: dict[int, Tuple[List[float], List[float], List[Segment]]] = {}
-        for ray, ray_segs in self._by_ray.items():
-            frontiers: List[float] = []  # radius already covered before each piece
-            reaches: List[float] = []  # radius covered after the piece (ascending)
-            owners: List[Segment] = []  # outward segment realising the piece
-            covered = 0.0
-            for seg in ray_segs:
-                if seg.end_distance > seg.start_distance and seg.end_distance > covered + _EPS:
-                    frontiers.append(max(covered, seg.start_distance))
-                    reaches.append(seg.end_distance)
-                    owners.append(seg)
-                    covered = seg.end_distance
-            self._pieces[ray] = (frontiers, reaches, owners)
+        self._pieces = _arrival_pieces(
+            (seg.ray, seg.start_time, seg.start_distance, seg.end_distance)
+            for seg in segs
+        )
         self._compiled: Optional["CompiledTrajectory"] = None
+
+    @cached_property
+    def _by_ray(self) -> Dict[int, List[Segment]]:
+        by_ray: Dict[int, List[Segment]] = {}
+        for seg in self._segments:
+            by_ray.setdefault(seg.ray, []).append(seg)
+        return by_ray
+
+    @cached_property
+    def _start_times(self) -> List[float]:
+        return [seg.start_time for seg in self._segments]
 
     @staticmethod
     def _validate(segments: Tuple[Segment, ...]) -> None:
@@ -210,7 +225,7 @@ class Trajectory:
 
     def rays_visited(self) -> List[int]:
         """Sorted list of ray indices this trajectory ever moves on."""
-        return sorted(self._by_ray)
+        return sorted(self._pieces)
 
     def max_distance(self, ray: int) -> float:
         """Farthest distance from the origin ever reached on ``ray``."""
@@ -256,12 +271,11 @@ class Trajectory:
         pieces = self._pieces.get(ray)
         if pieces is None:
             return math.inf
-        _frontiers, reaches, owners = pieces
+        _frontiers, reaches, starts, origins = pieces
         index = bisect_left(reaches, distance - _EPS)
         if index == len(reaches):
             return math.inf
-        seg = owners[index]
-        return seg.start_time + abs(distance - seg.start_distance)
+        return starts[index] + abs(distance - origins[index])
 
     def arrival_times(self, ray: int, distance: float) -> List[float]:
         """All times at which the robot passes through ``(ray, distance)``."""
@@ -288,8 +302,7 @@ class Trajectory:
         pieces = self._pieces.get(ray)
         if pieces is None:
             return []
-        frontiers, _reaches, _owners = pieces
-        return [b for b in frontiers if b >= minimum - _EPS]
+        return [b for b in pieces[0] if b >= minimum - _EPS]
 
     def arrival_pieces(self, ray: int) -> Tuple[List[float], List[float], List[float]]:
         """The pieces of the first-arrival-time function on ``ray``.
@@ -304,8 +317,8 @@ class Trajectory:
         pieces = self._pieces.get(ray)
         if pieces is None:
             return [], [], []
-        frontiers, reaches, owners = pieces
-        offsets = [seg.start_time - seg.start_distance for seg in owners]
+        frontiers, reaches, starts, origins = pieces
+        offsets = [start - origin for start, origin in zip(starts, origins)]
         return list(frontiers), list(reaches), offsets
 
     def compiled(self) -> "CompiledTrajectory":
@@ -335,6 +348,85 @@ class Trajectory:
         )
 
 
+def _arrival_pieces(
+    motions: Iterable[Tuple[int, float, float, float]],
+) -> Dict[int, Tuple[Tuple[float, ...], ...]]:
+    """Per ray, the pieces of the first-arrival-time function.
+
+    ``motions`` are the segments in temporal order as ``(ray, start_time,
+    start_distance, end_distance)``.  Every ray they move on maps to four
+    parallel tuples ``(frontiers, reaches, starts, origins)``: a distance
+    ``x`` in ``(frontiers[i], reaches[i]]`` is first reached on the way out
+    at ``starts[i] + abs(x - origins[i])``, the start time and distance of
+    the outward segment realising the piece.  Tuples of floats leave the
+    garbage collector nothing to track.
+    """
+    columns: Dict[int, Tuple[List[float], ...]] = {}
+    for ray, start_time, start_distance, end_distance in motions:
+        frontiers, reaches, starts, origins = columns.setdefault(ray, ([], [], [], []))
+        covered = reaches[-1] if reaches else 0.0
+        if end_distance > start_distance and end_distance > covered + _EPS:
+            frontiers.append(max(covered, start_distance))
+            reaches.append(end_distance)
+            starts.append(start_time)
+            origins.append(start_distance)
+    return {ray: tuple(map(tuple, column)) for ray, column in columns.items()}
+
+
+class _ExcursionTrajectory(Trajectory):
+    """The trajectory of an out-and-back schedule, segments built on first use.
+
+    The arrival pieces — all the batched engines and the adversary read —
+    come straight from the ``(ray, radius)`` schedule.  A memoized
+    trajectory stays alive for the whole process, so deferring its
+    ``Segment`` objects (until :attr:`segments`, :meth:`position` and the
+    like ask for them) keeps it to a few objects the garbage collector
+    must scan on every full collection, instead of dozens.
+    """
+
+    def __init__(self, excursions: Tuple[Tuple[int, float], ...]) -> None:
+        self._excursions = excursions
+        self._pieces = _arrival_pieces(
+            (ray, start_time, 0.0, radius)
+            for (ray, radius), start_time in zip(excursions, _excursion_clock(excursions))
+        )
+        self._compiled = None
+
+    @cached_property
+    def _segments(self) -> Tuple[Segment, ...]:
+        segments: List[Segment] = []
+        for (ray, radius), t in zip(self._excursions, _excursion_clock(self._excursions)):
+            segments.append(
+                Segment(
+                    start_time=t,
+                    end_time=t + radius,
+                    ray=ray,
+                    start_distance=0.0,
+                    end_distance=radius,
+                )
+            )
+            segments.append(
+                Segment(
+                    start_time=t + radius,
+                    end_time=t + 2 * radius,
+                    ray=ray,
+                    start_distance=radius,
+                    end_distance=0.0,
+                )
+            )
+        segs = tuple(segments)
+        self._validate(segs)
+        return segs
+
+
+def _excursion_clock(excursions: Iterable[Tuple[int, float]]) -> Iterator[float]:
+    """The time each excursion leaves the origin: running sums of ``2 * radius``."""
+    t = 0.0
+    for _ray, radius in excursions:
+        yield t
+        t += 2 * radius
+
+
 # ----------------------------------------------------------------------
 # Constructors
 # ----------------------------------------------------------------------
@@ -346,46 +438,40 @@ class Excursion:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise InvalidStrategyError(
-                f"excursion radius must be positive, got {self.radius}"
-            )
-        if self.ray < 0:
-            raise InvalidStrategyError(f"ray index must be >= 0, got {self.ray}")
+        _check_excursion(self.ray, self.radius)
+
+
+def _check_excursion(ray: int, radius: float) -> None:
+    if radius <= 0:
+        raise InvalidStrategyError(f"excursion radius must be positive, got {radius}")
+    if ray < 0:
+        raise InvalidStrategyError(f"ray index must be >= 0, got {ray}")
 
 
 def excursion_trajectory(excursions: Iterable[Excursion | Tuple[int, float]]) -> Trajectory:
     """Build a trajectory from a sequence of out-and-back excursions.
 
-    Each entry is either an :class:`Excursion` or a ``(ray, radius)`` pair.
-    The robot performs them in order, returning to the origin after each
-    one; this is exactly the motion pattern used by the upper-bound strategy
-    in the paper's appendix and by the ORC covering setting.
+    Each entry is either an :class:`Excursion` or a ``(ray, radius)`` pair;
+    both spell the same memo key.  The robot performs them in order,
+    returning to the origin after each one; this is exactly the motion
+    pattern used by the upper-bound strategy in the paper's appendix and by
+    the ORC covering setting.  Equal schedules return the same (shared,
+    immutable) trajectory.
     """
-    segments: List[Segment] = []
-    t = 0.0
+    key = []
     for item in excursions:
-        exc = item if isinstance(item, Excursion) else Excursion(ray=item[0], radius=item[1])
-        segments.append(
-            Segment(
-                start_time=t,
-                end_time=t + exc.radius,
-                ray=exc.ray,
-                start_distance=0.0,
-                end_distance=exc.radius,
-            )
-        )
-        segments.append(
-            Segment(
-                start_time=t + exc.radius,
-                end_time=t + 2 * exc.radius,
-                ray=exc.ray,
-                start_distance=exc.radius,
-                end_distance=0.0,
-            )
-        )
-        t += 2 * exc.radius
-    return Trajectory(segments)
+        if isinstance(item, Excursion):
+            ray, radius = item.ray, item.radius
+        else:
+            ray, radius = item[0], item[1]
+            _check_excursion(ray, radius)
+        key.append((int(ray), float(radius)))
+    return _excursion_trajectory(tuple(key))
+
+
+@lru_cache(maxsize=TRAJECTORY_MEMO_SIZE)
+def _excursion_trajectory(excursions: Tuple[Tuple[int, float], ...]) -> Trajectory:
+    return _ExcursionTrajectory(excursions)
 
 
 def zigzag_trajectory(
@@ -405,9 +491,19 @@ def zigzag_trajectory(
 
     ``final_leg`` optionally appends one last outward run to the given
     distance after the final turning point (useful to close out a finite
-    horizon).
+    horizon).  Equal inputs return the same (shared, immutable) trajectory.
     """
-    points = [float(t) for t in turning_points]
+    return _zigzag_trajectory(
+        tuple(float(t) for t in turning_points),
+        bool(start_positive),
+        None if final_leg is None else float(final_leg),
+    )
+
+
+@lru_cache(maxsize=TRAJECTORY_MEMO_SIZE)
+def _zigzag_trajectory(
+    points: Tuple[float, ...], start_positive: bool, final_leg: Optional[float]
+) -> Trajectory:
     for t in points:
         if t <= 0:
             raise InvalidStrategyError(

@@ -103,12 +103,11 @@ def first_arrival_matrix(
     compiled forms, so a batch of targets costs one ``np.searchsorted`` per
     robot instead of a Python loop per (robot, target) pair.
     """
-    distances = np.asarray(distances, dtype=float)
-    if not trajectories:
-        return np.full((0, distances.size), math.inf)
-    return np.vstack(
-        [t.compiled().first_arrival_times(ray, distances) for t in trajectories]
-    )
+    distances = np.asarray(distances, dtype=float).reshape(-1)
+    out = np.empty((len(trajectories), distances.size))
+    for row, trajectory in enumerate(trajectories):
+        out[row] = trajectory.compiled().first_arrival_times(ray, distances)
+    return out
 
 
 def order_statistic_times(matrix: np.ndarray, n: int) -> np.ndarray:

@@ -88,6 +88,17 @@ def to_jsonable(value: Any) -> Any:
     exactly (no rounding), which is what lets cached payloads stay
     bit-identical to freshly computed ones.
     """
+    # Fast path for the exact built-in types a payload is mostly made of;
+    # subclasses (IntEnum, OrderedDict, ...) take the general path below.
+    kind = type(value)
+    if kind is dict:
+        return {str(key): to_jsonable(item) for key, item in value.items()}
+    if kind is float:
+        return value if math.isfinite(value) else encode_float(value)
+    if kind is str or kind is int or kind is bool or value is None:
+        return value
+    if kind is list or kind is tuple:
+        return [to_jsonable(item) for item in value]
     if isinstance(value, np.ndarray):
         return [to_jsonable(item) for item in value.tolist()]
     if isinstance(value, np.generic):

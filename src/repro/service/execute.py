@@ -47,8 +47,10 @@ __all__ = [
     "ensure_executable",
     "execute_spec",
     "execute_shard",
+    "execute_shard_timed",
     "executor_for",
     "executor_kinds",
+    "observe_shard_seconds",
 ]
 
 _HANDLERS: Dict[str, Callable[[ScenarioSpec], dict]] = {}
@@ -482,40 +484,52 @@ check_registry_parity()
 _EXECUTE_SECONDS: dict = {}
 
 
-def execute_spec(spec: ScenarioSpec) -> dict:
-    """Evaluate one scenario and return its strict-JSON-safe result payload.
-
-    The payload always carries ``kind`` and the canonical ``spec`` dict, so
-    a cached result is self-describing.
-
-    Each evaluation is timed into ``repro_execute_seconds{kind=...}``.
-    The observation is strictly process-local: shards dispatched through
-    the process pool execute in worker *subprocesses*, whose registries
-    are separate from the coordinator's — only specs evaluated in-process
-    (serial fallback, ``POST /evaluate``, remote workers' own serve
-    processes) appear in a given ``GET /metrics``.  Timing never touches
-    the payload, so results stay bit-identical with telemetry on or off.
-    """
-    histogram = _EXECUTE_SECONDS.get(spec.kind)
+def _observe_execute_seconds(kind: str, seconds: float) -> None:
+    """Record one evaluation's time in ``repro_execute_seconds{kind=...}``."""
+    histogram = _EXECUTE_SECONDS.get(kind)
     if histogram is None:
         # One registry lookup per kind per process: label canonicalisation
         # under the registry lock is measurable when every spec in a shard
         # passes through here.
         from .telemetry import METRICS
 
-        histogram = _EXECUTE_SECONDS[spec.kind] = METRICS.histogram(
+        histogram = _EXECUTE_SECONDS[kind] = METRICS.histogram(
             "repro_execute_seconds",
-            {"kind": spec.kind},
+            {"kind": kind},
             help="Engine-evaluation time per scenario, by spec kind "
-            "(process-local; pool shards land in worker subprocesses).",
+            "(pool-computed shards are observed by the process that "
+            "dispatched them).",
         )
+    histogram.observe(seconds)
 
+
+def _evaluate(spec: ScenarioSpec) -> Tuple[dict, float]:
+    """One scenario's payload and its engine-evaluation time in seconds."""
     start = time.monotonic()
     payload = executor_for(spec.kind)(spec)
-    histogram.observe(time.monotonic() - start)
+    seconds = time.monotonic() - start
     payload["kind"] = spec.kind
     payload["spec"] = spec.to_dict()
-    return to_jsonable(payload)
+    return to_jsonable(payload), seconds
+
+
+def execute_spec(spec: ScenarioSpec) -> dict:
+    """Evaluate one scenario and return its strict-JSON-safe result payload.
+
+    The payload always carries ``kind`` and the canonical ``spec`` dict, so
+    a cached result is self-describing.
+
+    Each evaluation is timed into ``repro_execute_seconds{kind=...}`` of
+    the process that runs it.  Shards a scheduler sends to its process
+    pool run :func:`execute_shard_timed` instead, which hands the times
+    back with the payloads so the dispatching process observes them (a
+    pool child's registry never reaches ``GET /metrics``).  Timing never
+    touches the payload, so results stay bit-identical with telemetry on
+    or off.
+    """
+    payload, seconds = _evaluate(spec)
+    _observe_execute_seconds(spec.kind, seconds)
+    return payload
 
 
 def execute_shard(shard) -> list:
@@ -526,3 +540,24 @@ def execute_shard(shard) -> list:
     mid-batch.
     """
     return [execute_spec(spec) for spec in shard]
+
+
+def execute_shard_timed(shard) -> Tuple[list, list]:
+    """:func:`execute_shard` for a process pool: payloads plus per-spec seconds.
+
+    Nothing is observed here; the dispatching process records the seconds
+    with :func:`observe_shard_seconds`, so each evaluation lands in exactly
+    one ``GET /metrics``.
+    """
+    payloads, seconds = [], []
+    for spec in shard:
+        payload, elapsed = _evaluate(spec)
+        payloads.append(payload)
+        seconds.append(elapsed)
+    return payloads, seconds
+
+
+def observe_shard_seconds(shard, seconds: Iterable[float]) -> None:
+    """Record a pool-computed shard's evaluation times in this process."""
+    for spec, elapsed in zip(shard, seconds):
+        _observe_execute_seconds(spec.kind, elapsed)

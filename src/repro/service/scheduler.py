@@ -95,7 +95,14 @@ from ..simulation.engine import DEFAULT_ENGINE
 from ..simulation.monte_carlo import SeedLike, spawn_seeds
 from . import telemetry
 from .cache import ResultCache
-from .execute import _count_mc_trials, ensure_executable, execute_shard, execute_spec
+from .execute import (
+    _count_mc_trials,
+    ensure_executable,
+    execute_shard,
+    execute_shard_timed,
+    execute_spec,
+    observe_shard_seconds,
+)
 from .journal import JobJournal
 from .remote import RemoteWorker, RemoteWorkerError, RemoteWorkerPool
 from .telemetry import _NULL_SPAN, MetricsRegistry, Tracer
@@ -1169,8 +1176,8 @@ class ScenarioScheduler:
             if pool_now is None:
                 run_serial(admit)
                 return
-            inflight: Dict["Future[list]", int] = {}
-            submitted_at: Dict["Future[list]", float] = {}
+            inflight: Dict["Future[tuple]", int] = {}
+            submitted_at: Dict["Future[tuple]", float] = {}
             try:
                 while True:
                     if admit:
@@ -1180,7 +1187,7 @@ class ScenarioScheduler:
                         if index is None:
                             break
                         try:
-                            future = pool_now.submit(execute_shard, shards[index])
+                            future = pool_now.submit(execute_shard_timed, shards[index])
                         except BaseException as error:
                             # The popped index must never be lost: put it
                             # back before the failure propagates to the
@@ -1200,9 +1207,11 @@ class ScenarioScheduler:
                         # Read the result before dropping the future from
                         # inflight: if it raises (broken pool), the
                         # fallback below still knows about this index.
-                        results[inflight[future]] = future.result()
+                        payloads, seconds = future.result()
                         index = inflight.pop(future)
-                        _count_pool_trials(shards[index], results[index])
+                        results[index] = payloads
+                        observe_shard_seconds(shards[index], seconds)
+                        _count_pool_trials(shards[index], payloads)
                         start = submitted_at.pop(future)
                         self._note_shard(
                             batch_span,

@@ -123,11 +123,15 @@ class RoundRobinGeometricStrategy(Strategy):
         """The ``(ray, radius)`` excursion list of one robot up to ``horizon``."""
         horizon = self._check_horizon(horizon)
         last_cycle = self._last_cycle(horizon)
-        schedule: List[Tuple[int, float]] = []
-        for cycle in range(self.start_cycle, last_cycle + 1):
-            for ray in range(self.problem.m):
-                schedule.append((ray, self.radius(robot, ray, cycle)))
-        return schedule
+        # :meth:`radius` inlined: the same integer exponents and the same
+        # ``alpha ** exponent`` calls, so the radii are bit-identical.
+        m, k, alpha = self.problem.m, self.problem.k, self.alpha
+        robot_offset = m * robot
+        return [
+            (ray, alpha ** (k * (ray + m * cycle) + robot_offset))
+            for cycle in range(self.start_cycle, last_cycle + 1)
+            for ray in range(m)
+        ]
 
     def trajectories(self, horizon: float) -> List[Trajectory]:
         return [

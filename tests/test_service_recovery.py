@@ -43,6 +43,7 @@ from repro.service.remote import (
     RemoteWorkerPool,
     WorkerSupervisor,
 )
+from repro.service import scheduler as scheduler_module
 from repro.service.scheduler import (
     BatchJob,
     ScenarioScheduler,
@@ -561,11 +562,15 @@ class TestWorkerAutoRecovery:
         assert pending[0]["backoff"] >= 0.2  # doubled at least twice
         assert supervisor.stats()["recoveries"] == 0
 
-    def test_worker_revived_mid_batch_is_admitted_and_serves_shards(self, worker):
+    def test_worker_revived_mid_batch_is_admitted_and_serves_shards(
+        self, worker, monkeypatch
+    ):
         # The worker is dead at the batch's refresh; it comes back while
         # the queue still holds work (we flip `alive` exactly the way a
         # supervisor probe would) and the dispatch loop must admit it a
-        # dispatcher thread mid-batch.
+        # dispatcher thread mid-batch.  Scripted rather than timed: the
+        # local slot revives the worker during its first shard, then holds
+        # its second shard until the admitted worker has completed one.
         remote = RemoteWorker(worker.url)
         remote.alive = False
         remote.last_error = "down at refresh"
@@ -584,14 +589,28 @@ class TestWorkerAutoRecovery:
         )
         serial = ScenarioScheduler().run_batch(specs, max_workers=1)
 
-        reviver = threading.Timer(0.05, lambda: setattr(remote, "alive", True))
-        reviver.start()
-        try:
-            batch = ScenarioScheduler(workers=pool).run_batch(
-                specs, max_workers=1, shard_size=1
-            )
-        finally:
-            reviver.cancel()
+        local_slot = threading.current_thread()
+        original = scheduler_module.execute_shard
+        local_shards = []
+
+        def scripted(shard):
+            # The in-process worker's own scheduler runs shards through
+            # the same function, on its server threads: pass those through.
+            if threading.current_thread() is local_slot:
+                local_shards.append(shard)
+                if len(local_shards) == 1:
+                    remote.alive = True  # revived mid-batch
+                elif len(local_shards) == 2:
+                    deadline = time.monotonic() + 30
+                    while remote.shards_completed < 1:
+                        assert time.monotonic() < deadline, "worker never served"
+                        time.sleep(0.005)
+            return original(shard)
+
+        monkeypatch.setattr(scheduler_module, "execute_shard", scripted)
+        batch = ScenarioScheduler(workers=pool).run_batch(
+            specs, max_workers=1, shard_size=1
+        )
         assert list(batch.results) == list(serial.results)  # bit-identical
         assert batch.num_remote_workers == 0  # dead when the batch started
         assert remote.shards_completed >= 1  # ...but admitted mid-batch

@@ -468,3 +468,25 @@ class TestPoolTrialAccounting:
         assert {k: after[k] - before[k] for k in after} == _expected_trials(
             specs, body["results"]
         )
+
+
+class TestPoolExecuteSeconds:
+    """``repro_execute_seconds{kind}`` observes every spec wherever it ran."""
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_one_observation_per_spec(self, max_workers):
+        specs = [
+            SimulateSpec(num_rays=2, num_robots=3, num_faulty=1, horizon=100.0 + i)
+            for i in range(8)
+        ]
+        histogram = telemetry.METRICS.histogram(
+            "repro_execute_seconds", {"kind": "simulate"}
+        )
+        before = histogram.count
+        scheduler = ScenarioScheduler(metrics=MetricsRegistry(), tracer=Tracer())
+        try:
+            batch = scheduler.run_batch(specs, max_workers=max_workers, shard_size=1)
+        finally:
+            scheduler.close()
+        assert batch.evaluated == batch.num_shards == len(specs)
+        assert histogram.count - before == len(specs)

@@ -49,6 +49,8 @@ class TestIsEngineRelevant:
             # can alter result bytes, so it guards like an engine (with
             # [engine-version-unchanged] as the pure-transport escape).
             "src/repro/service/wire.py",
+            # to_jsonable/encode_float shape every payload byte.
+            "src/repro/reporting.py",
         ],
     )
     def test_engine_paths_match(self, path):
@@ -62,7 +64,6 @@ class TestIsEngineRelevant:
             "src/repro/service/remote.py",
             "src/repro/service/cache.py",
             "src/repro/cli.py",
-            "src/repro/reporting.py",
             "src/repro/analysis/tables.py",
             "tests/test_service_recovery.py",
             "benchmarks/bench_remote.py",
