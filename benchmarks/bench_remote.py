@@ -12,19 +12,20 @@ the acceptance grid.  Three measurements:
    and dispatch, so the shard it holds goes back on the pull queue; asserts
    bit-identity again and measures the recovery cost;
 4. **Backpressure split** — one fast and one artificially slow worker pull
-   from the same queue; records how many shards each ended up taking (the
-   slow one must take fewer — placement follows throughput, not index
-   arithmetic);
+   from the same queue while the coordinator's serial local slot is held
+   until the queue is empty; records how many shards each ended up taking
+   (the slow one must take fewer — placement follows throughput, not
+   index arithmetic);
 5. **Supervisor recovery** — a worker is stopped, marked dead, restarted
    on its old port, and the time for a 50 ms-interval
    :class:`~repro.service.remote.WorkerSupervisor` to re-probe it back to
    live is measured;
-5b. **Wire overhead** — 400 warm single-spec shards against one worker on
-   three transports (fresh-dial JSON, pooled JSON, pooled binary frames);
-   the per-shard dispatch overhead floor (round-trip minus the
-   worker-reported evaluation time) must stay ≤ 0.3 ms on the pooled wire
-   with > 90% connection reuse, and results must stay bit-identical on
-   all three;
+5b. **Transport overhead** — 400 warm single-spec shards against one
+   worker over fresh-dial and pooled keep-alive connections (JSON both
+   ways); the per-shard dispatch overhead floor (round-trip minus the
+   worker-reported evaluation time) must stay ≤ 0.3 ms on the pooled
+   connections with > 90% connection reuse, and results must stay
+   bit-identical on both;
 6. **Telemetry overhead** — recording-primitive calls are counted over a
    cold distributed batch and priced with tight loops; the op-accounted
    cost lands in ``telemetry_overhead_pct`` and must stay within the 5%
@@ -42,11 +43,13 @@ dispatch").
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import statistics
 import threading
 import time
 
+from repro.service import scheduler as scheduler_module
 from repro.service import telemetry
 from repro.service.remote import RemoteWorker, RemoteWorkerPool
 from repro.service.scheduler import ScenarioScheduler
@@ -62,6 +65,35 @@ class _SlowWorker(RemoteWorker):
     def evaluate_shard(self, scenario_dicts):
         time.sleep(self.DELAY)
         return super().evaluate_shard(scenario_dicts)
+
+
+@contextlib.contextmanager
+def _hold_local_slot(pool, timeout=60.0):
+    """Hold the calling thread's serial local slot until ``pool``'s queue is empty.
+
+    The coordinator's serial slot runs :func:`execute_shard` in the thread
+    that called ``run_batch``; in-process workers run it in their request
+    threads, which pass straight through.  Holding the local slot leaves
+    the queue to the remote workers, so their split is decided by their
+    own throughput alone.
+    """
+    original = scheduler_module.execute_shard
+    holder = threading.get_ident()
+
+    def gated(specs):
+        if threading.get_ident() == holder:
+            deadline = time.monotonic() + timeout
+            while pool.stats()["queue_depth"] > 0:
+                assert time.monotonic() < deadline, "queue never drained"
+                time.sleep(0.005)
+        return original(specs)
+
+    scheduler_module.execute_shard = gated
+    try:
+        yield
+    finally:
+        scheduler_module.execute_shard = original
+
 
 TRIPLES = [(2, 1, 0), (2, 3, 1)]
 HORIZONS = range(10, 60)
@@ -128,13 +160,17 @@ def test_perf_remote_dispatch(benchmark):
         assert failover.failovers >= 1
 
         # Backpressure: one fast and one slow worker pull from the same
-        # queue; the slow one must end the batch with fewer shards.
+        # queue; the slow one must end the batch with fewer shards.  The
+        # serial local slot would otherwise take nearly every one-spec
+        # shard itself, so it is held until the workers drain the queue.
         fast = RemoteWorker(urls[0])
         slow = _SlowWorker(urls[1])
+        backpressure_pool = RemoteWorkerPool([fast, slow])
         start = time.perf_counter()
-        backpressure = ScenarioScheduler(
-            workers=RemoteWorkerPool([fast, slow])
-        ).run_batch(scenarios, max_workers=1, shard_size=1)
+        with _hold_local_slot(backpressure_pool):
+            backpressure = ScenarioScheduler(workers=backpressure_pool).run_batch(
+                scenarios, max_workers=1, shard_size=1
+            )
         backpressure_seconds = time.perf_counter() - start
         assert list(backpressure.results) == list(serial.results)
         assert slow.shards_completed < fast.shards_completed
@@ -163,15 +199,14 @@ def test_perf_remote_dispatch(benchmark):
         revived.server_close()
         revived_thread.join(timeout=10)
 
-        # Wire + pooled connections: per-shard dispatch overhead.  400
+        # Pooled connections: per-shard dispatch overhead.  400
         # single-spec shards against one cache-warmed worker, so every
         # round-trip is transport plus a worker-side cache hit; the
         # worker's own ``repro_worker_batch_seconds`` time is subtracted
-        # out.  Three transports over the same worker: fresh-dial JSON
-        # (the pre-wire protocol), pooled JSON, pooled binary frames.
-        # The floor (min over round-trips, timeit-style — load can only
-        # ever add time) is the asserted number; the mean rides along in
-        # extra_info for trend tracking.
+        # out.  Two connection modes over the same worker: fresh dial per
+        # shard, and pooled keep-alive.  The floor (min over round-trips,
+        # timeit-style — load can only ever add time) is the asserted
+        # number; the mean rides along in extra_info for trend tracking.
         wire_grid = [
             SimulateSpec(num_rays=m, num_robots=k, num_faulty=f, horizon=float(h))
             for m, k, f in TRIPLES
@@ -179,7 +214,7 @@ def test_perf_remote_dispatch(benchmark):
         ]
         assert len(wire_grid) == 400
         shard_dicts = [[spec.to_dict()] for spec in wire_grid]
-        warmup = RemoteWorker(urls[0], wire=False)
+        warmup = RemoteWorker(urls[0])
         assert warmup.check_health()
         expected_results = warmup.evaluate_shard(
             [spec.to_dict() for spec in wire_grid]
@@ -198,8 +233,7 @@ def test_perf_remote_dispatch(benchmark):
             per_shard_eval = (
                 eval_hist.snapshot()["sum"] - eval_before
             ) / len(shard_dicts)
-            # Bit-identical on every transport, fresh or pooled, JSON or
-            # binary frames.
+            # Bit-identical whether the connection is fresh or pooled.
             assert results == expected_results
             return {
                 "floor_ms": round((min(times) - per_shard_eval) * 1e3, 3),
@@ -208,20 +242,17 @@ def test_perf_remote_dispatch(benchmark):
                 ),
             }
 
-        fresh_dial = RemoteWorker(urls[0], wire=False, max_idle_connections=0)
-        json_pooled = RemoteWorker(urls[0], wire=False)
-        framed = RemoteWorker(urls[0])
+        fresh_dial = RemoteWorker(urls[0], max_idle_connections=0)
+        json_pooled = RemoteWorker(urls[0])
         fresh_overhead = _dispatch_400(fresh_dial)
         json_overhead = _dispatch_400(json_pooled)
-        wire_overhead = _dispatch_400(framed)
-        conn_stats = framed.connection_stats()
-        assert framed.wire_enabled is True  # handshake negotiated frames
+        conn_stats = json_pooled.connection_stats()
         assert conn_stats["reuse_fraction"] > 0.9  # pooling actually held
         assert conn_stats["redials"] == 0
         # The ROADMAP target: <= 0.3 ms of dispatch overhead per shard
         # with persistent connections (PERFORMANCE.md, "Wire protocol").
-        assert wire_overhead["floor_ms"] <= 0.3, wire_overhead
-        for shard_worker in (fresh_dial, json_pooled, framed):
+        assert json_overhead["floor_ms"] <= 0.3, json_overhead
+        for shard_worker in (fresh_dial, json_pooled):
             shard_worker.close()
 
         remote_shards = distributed.remote_evaluated // SHARD_SIZE
@@ -245,8 +276,6 @@ def test_perf_remote_dispatch(benchmark):
             recovery_seconds, 4
         )
         benchmark.extra_info["wire_shards"] = len(shard_dicts)
-        benchmark.extra_info["wire_overhead_ms_floor"] = wire_overhead["floor_ms"]
-        benchmark.extra_info["wire_overhead_ms_mean"] = wire_overhead["mean_ms"]
         benchmark.extra_info["json_pooled_overhead_ms_floor"] = json_overhead[
             "floor_ms"
         ]
@@ -259,7 +288,9 @@ def test_perf_remote_dispatch(benchmark):
         benchmark.extra_info["json_fresh_overhead_ms_mean"] = fresh_overhead[
             "mean_ms"
         ]
-        benchmark.extra_info["wire_reuse_fraction"] = conn_stats["reuse_fraction"]
+        benchmark.extra_info["json_pooled_reuse_fraction"] = conn_stats[
+            "reuse_fraction"
+        ]
         print(
             f"\nremote dispatch @ {len(scenarios)} scenarios, shard {SHARD_SIZE}: "
             f"serial {serial_seconds * 1e3:.0f} ms, "
@@ -281,9 +312,7 @@ def test_perf_remote_dispatch(benchmark):
             f"(floor/mean): fresh-dial JSON "
             f"{fresh_overhead['floor_ms']:.2f}/{fresh_overhead['mean_ms']:.2f} ms, "
             f"pooled JSON "
-            f"{json_overhead['floor_ms']:.2f}/{json_overhead['mean_ms']:.2f} ms, "
-            f"pooled binary wire "
-            f"{wire_overhead['floor_ms']:.2f}/{wire_overhead['mean_ms']:.2f} ms "
+            f"{json_overhead['floor_ms']:.2f}/{json_overhead['mean_ms']:.2f} ms "
             f"(reuse {conn_stats['reuse_fraction']:.1%}, budget 0.3 ms floor)"
         )
 

@@ -426,14 +426,6 @@ def _add_worker_tuning_flags(subparser: argparse.ArgumentParser) -> None:
         help="budget for dialing a worker (kept far below --worker-timeout "
         "so a vanished worker fails over in seconds)",
     )
-    subparser.add_argument(
-        "--no-wire",
-        dest="worker_wire",
-        action="store_false",
-        help="pin shard dispatch to JSON instead of negotiating the binary "
-        "wire with wire-capable workers (debugging aid; results are "
-        "bit-identical either way)",
-    )
 
 
 def _build_worker_pool(args: argparse.Namespace):
@@ -447,7 +439,6 @@ def _build_worker_pool(args: argparse.Namespace):
         urls,
         timeout=args.worker_timeout,
         connect_timeout=args.worker_connect_timeout,
-        wire=getattr(args, "worker_wire", True),
     )
 
 
@@ -676,7 +667,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         reprobe_interval=args.reprobe_interval,
         worker_timeout=args.worker_timeout,
         worker_connect_timeout=args.worker_connect_timeout,
-        worker_wire=getattr(args, "worker_wire", True),
         journal_path=args.journal,
     )
     if server.recovery is not None:

@@ -30,7 +30,10 @@ immutable, so they serve repeated inputs from one process-wide LRU memo
 and horizon band rebuild identical schedules, and a hit shares the
 :class:`Trajectory` object — with its lazily compiled arrays — instead of
 re-validating every :class:`Segment`.  Invalid inputs raise on every call;
-a failed build is never cached.  A memoized excursion schedule computes its
+a failed build is never cached.  A schedule that is built once and never
+again (a randomized strategy's sampled offset) goes through
+:func:`one_off_excursion_trajectory` instead, so it cannot evict the
+reusable ones.  A memoized excursion schedule computes its
 arrival pieces straight from the ``(ray, radius)`` pairs and builds its
 segments only when asked, so the memo adds little to every full garbage
 collection.
@@ -55,6 +58,7 @@ __all__ = [
     "Trajectory",
     "Excursion",
     "excursion_trajectory",
+    "one_off_excursion_trajectory",
     "zigzag_trajectory",
     "straight_trajectory",
     "idle_trajectory",
@@ -458,6 +462,24 @@ def excursion_trajectory(excursions: Iterable[Excursion | Tuple[int, float]]) ->
     the ORC covering setting.  Equal schedules return the same (shared,
     immutable) trajectory.
     """
+    return _excursion_trajectory(_excursion_key(excursions))
+
+
+def one_off_excursion_trajectory(
+    excursions: Iterable[Excursion | Tuple[int, float]],
+) -> Trajectory:
+    """:func:`excursion_trajectory` for a schedule that will not come back.
+
+    Builds a fresh trajectory outside the process-wide memo, where a
+    one-off schedule would only evict reusable ones.
+    """
+    return _ExcursionTrajectory(_excursion_key(excursions))
+
+
+def _excursion_key(
+    excursions: Iterable[Excursion | Tuple[int, float]],
+) -> Tuple[Tuple[int, float], ...]:
+    """Validated ``(int ray, float radius)`` pairs: the memo key of a schedule."""
     key = []
     for item in excursions:
         if isinstance(item, Excursion):
@@ -466,7 +488,7 @@ def excursion_trajectory(excursions: Iterable[Excursion | Tuple[int, float]]) ->
             ray, radius = item[0], item[1]
             _check_excursion(ray, radius)
         key.append((int(ray), float(radius)))
-    return _excursion_trajectory(tuple(key))
+    return tuple(key)
 
 
 @lru_cache(maxsize=TRAJECTORY_MEMO_SIZE)

@@ -24,6 +24,11 @@ reusable service (see PERFORMANCE.md, "Serving layer"):
   exported at ``GET /metrics`` / ``GET /trace/<id>`` and rendered live
   by ``repro top``.
 
+Every process edge speaks JSON.  :mod:`repro.service.wire`, a binary
+frame codec, is no longer imported by any module here: it stays only
+because the benchmark harness (``perfbench/``) replays shard bodies
+through it for its ``wire.*`` metrics, and goes with those metrics.
+
 Quickstart
 ----------
 >>> from repro.service import ScenarioScheduler, SimulateSpec

@@ -25,14 +25,13 @@ only (:mod:`http.client`):
   mid-batch: the scheduler's dispatch loop admits revived workers while
   shards are still queued.
 
-Since PR 9 each worker holds a small pool of persistent keep-alive
-connections (HTTP/1.1) and, when the ``/healthz`` handshake advertises a
-matching wire version, exchanges shard traffic as binary frames
-(:mod:`repro.service.wire`) instead of JSON text.  Reused sockets can go
-stale between batches — the worker restarted, an idle timeout fired — so
-a *reused* connection that fails fast (reset, closed, protocol garbage;
-never a read timeout) is transparently redialed exactly once before the
-failure surfaces as a :class:`RemoteWorkerError`.  Dial/reuse/redial
+Each worker holds a small pool of persistent keep-alive connections
+(HTTP/1.1) and exchanges every request and response as strict JSON, the
+same bodies ``curl`` sees.  Reused sockets can go stale between batches
+— the worker restarted, an idle timeout fired — so a *reused* connection
+that fails fast (reset, closed, protocol garbage; never a read timeout)
+is transparently redialed exactly once before the failure surfaces as a
+:class:`RemoteWorkerError`.  Dial/reuse/redial
 counts feed ``repro_remote_connections_total`` and the existing connect
 histogram only observes real dials, so the reuse rate is visible in
 ``GET /workers`` and ``repro top``.
@@ -56,7 +55,6 @@ from ..exceptions import ReproError
 from . import telemetry
 from .spec import ENGINE_VERSION
 from .telemetry import METRICS
-from .wire import WIRE_CONTENT_TYPE, WIRE_VERSION, WireError, decode_frame, encode_frame
 
 __all__ = [
     "RemoteWorkerError",
@@ -129,7 +127,6 @@ class RemoteWorker:
         max_retries: int = 1,
         retry_backoff: float = DEFAULT_RETRY_BACKOFF,
         max_workers: Optional[int] = None,
-        wire: bool = True,
         max_idle_connections: int = DEFAULT_MAX_IDLE_CONNECTIONS,
     ) -> None:
         self.url = url.rstrip("/")
@@ -142,13 +139,6 @@ class RemoteWorker:
         #: Forwarded as the remote batch's ``max_workers`` when set, to
         #: bound the worker's own process fan-out per shard.
         self.max_workers = max_workers
-        #: Whether this client is *willing* to speak the binary wire.
-        self.wire = bool(wire)
-        #: Whether shard traffic actually uses frames: ``None`` until the
-        #: health handshake, then ``True`` only when both sides advertise
-        #: the same wire version.  A worker without the advert (old build,
-        #: test double) silently stays on JSON — never an error.
-        self.wire_enabled: Optional[bool] = None
         self.alive: Optional[bool] = None
         self.last_error: Optional[str] = None
         self.shards_completed = 0
@@ -197,8 +187,8 @@ class RemoteWorker:
             direction: METRICS.counter(
                 "repro_remote_wire_bytes_total",
                 {"worker": self.url, "direction": direction},
-                help="Binary-frame payload bytes exchanged with remote "
-                "workers (JSON traffic is not counted).",
+                help="JSON shard request and response body bytes exchanged "
+                "with remote workers.",
             )
             for direction in ("sent", "received")
         }
@@ -299,7 +289,6 @@ class RemoteWorker:
             "redials": redials,
             "reuse_fraction": round(reuses / total, 4) if total else 0.0,
             "idle": len(self._idle),
-            "wire_enabled": self.wire_enabled,
         }
 
     # ------------------------------------------------------------------
@@ -309,7 +298,6 @@ class RemoteWorker:
         payload=None,
         timeout: Optional[float] = None,
         connect_timeout: Optional[float] = None,
-        wire: bool = False,
     ):
         """One HTTP round-trip over a pooled keep-alive connection.
 
@@ -327,29 +315,15 @@ class RemoteWorker:
         redialed exactly once.  A read timeout is never retried here: a
         hung worker must cost one read timeout, not two, before failover.
 
-        ``wire=True`` sends the payload as a binary frame when the health
-        handshake negotiated it (``wire_enabled``); responses are decoded
-        by their ``Content-Type`` either way, so a worker may answer JSON
-        to a frame request (or vice versa) without confusing the client.
+        A POST (``payload`` given — only shard traffic) counts its request
+        and response body bytes under ``repro_remote_wire_bytes_total``.
         """
         read_timeout = self.timeout if timeout is None else timeout
         dial_timeout = (
             self.connect_timeout if connect_timeout is None else connect_timeout
         )
-        use_wire = bool(wire and self.wire and self.wire_enabled)
-        if payload is None:
-            body = None
-            content_type = "application/json"
-        elif use_wire:
-            body = encode_frame(payload)
-            content_type = WIRE_CONTENT_TYPE
-            self._wire_bytes["sent"].inc(len(body))
-        else:
-            body = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
-        headers = {"Content-Type": content_type}
-        if use_wire:
-            headers["Accept"] = WIRE_CONTENT_TYPE
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
         try:
             base_path = urllib.parse.urlsplit(self.url).path
         except ValueError as error:
@@ -372,7 +346,6 @@ class RemoteWorker:
                 response = connection.getresponse()
                 raw = response.read()
                 status = response.status
-                response_type = response.getheader("Content-Type", "") or ""
                 keep = not response.will_close
                 self._read_seconds.observe(time.monotonic() - read_start)
             except (OSError, http.client.HTTPException, ValueError) as error:
@@ -398,15 +371,9 @@ class RemoteWorker:
                     f"worker {self.url} returned HTTP {status} for {path}",
                     worker_dead=status >= 500,
                 )
-            if response_type.split(";")[0].strip().lower() == WIRE_CONTENT_TYPE:
+            if body is not None:
+                self._wire_bytes["sent"].inc(len(body))
                 self._wire_bytes["received"].inc(len(raw))
-                try:
-                    return decode_frame(raw)
-                except WireError as error:
-                    raise RemoteWorkerError(
-                        f"worker {self.url} returned a malformed frame for "
-                        f"{path}: {error}"
-                    ) from error
             try:
                 return json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, ValueError) as error:
@@ -422,12 +389,6 @@ class RemoteWorker:
         runs exactly this client's engine version — a version-skewed worker
         would compute under a different cache-key space, silently breaking
         the bit-identical-results guarantee, so it is treated as dead.
-
-        The same handshake negotiates the transport: shard traffic moves
-        to binary frames only when the worker's ``wire`` advert names
-        exactly this client's :data:`~repro.service.wire.WIRE_VERSION`
-        (and this client was built with ``wire=True``).  Any mismatch —
-        no advert, other version — silently stays on JSON.
         """
         try:
             body = self._request(
@@ -451,12 +412,6 @@ class RemoteWorker:
                 f"match local {self.engine_version!r}"
             )
             return False
-        advert = body.get("wire")
-        self.wire_enabled = bool(
-            self.wire
-            and isinstance(advert, dict)
-            and advert.get("version") == WIRE_VERSION
-        )
         self.alive = True
         self.last_error = None
         return True
@@ -495,7 +450,7 @@ class RemoteWorker:
                     )
             shard_start = time.monotonic()
             try:
-                body = self._request("/batch", payload, wire=True)
+                body = self._request("/batch", payload)
             except RemoteWorkerError as error:
                 last = error
                 if not error.worker_dead:
@@ -752,7 +707,6 @@ class RemoteWorkerPool:
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         max_retries: int = 1,
         retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-        wire: bool = True,
     ) -> None:
         self.workers: List[RemoteWorker] = [
             worker
@@ -765,7 +719,6 @@ class RemoteWorkerPool:
                 connect_timeout=connect_timeout,
                 max_retries=max_retries,
                 retry_backoff=retry_backoff,
-                wire=wire,
             )
             for worker in workers
         ]

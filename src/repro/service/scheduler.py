@@ -925,7 +925,6 @@ class ScenarioScheduler:
         worker: Optional[str] = None,
         queue_wait: Optional[float] = None,
         serialize_seconds: Optional[float] = None,
-        wire: Optional[bool] = None,
     ) -> None:
         """Record one executed shard: a metric observation plus a trace span.
 
@@ -947,11 +946,6 @@ class ScenarioScheduler:
         }
         if worker is not None:
             attrs["worker"] = worker
-        if wire is not None:
-            # Which transport carried this shard (binary frames vs JSON) —
-            # lets a trace read show at a glance whether the negotiated
-            # wire was actually in play for a slow dispatch.
-            attrs["wire"] = wire
         if queue_wait is not None:
             attrs["queue_wait_seconds"] = queue_wait
         if serialize_seconds is not None:
@@ -1101,7 +1095,6 @@ class ScenarioScheduler:
                         worker=worker.url,
                         queue_wait=queue_wait,
                         serialize_seconds=serialize_seconds,
-                        wire=bool(worker.wire_enabled),
                     )
                     record(shard_index, payloads)
             except BaseException as error:  # surfaced after the joins

@@ -41,14 +41,12 @@ Endpoints
     poll on, ``completed`` the unique keys resolved so far.  Unknown ids
     return ``404``.
 ``GET /jobs/<id>/rows``
-    Streams the job's result rows *as they finish*, index-ordered: by
-    default Server-Sent Events (``id:`` = row index, ``event: row`` with
+    Streams the job's result rows *as they finish*, index-ordered, as
+    Server-Sent Events (``id:`` = row index, ``event: row`` with
     ``{"index", "key", "result"}`` JSON, then a terminal ``event:
-    done``); with ``Accept: application/x-repro-frame`` the same rows as
-    consecutive length-prefixed binary frames.  Resume a broken stream
-    with ``Last-Event-ID: <last row index>`` or ``?start=<index>`` —
-    finished rows replay from the cache, bit-identical.  The body is
-    EOF-terminated (``Connection: close``).
+    done``).  Resume a broken stream with ``Last-Event-ID: <last row
+    index>`` or ``?start=<index>`` — finished rows replay from the cache,
+    bit-identical.  The body is EOF-terminated (``Connection: close``).
 ``GET /workers``
     Dispatch counters of the remote worker pool (coordinator nodes only;
     ``404`` when the server has no pool): per-worker liveness and
@@ -93,14 +91,11 @@ ids ``404``.  All responses are strict JSON (non-finite floats are encoded
 as the strings ``"inf"``/``"-inf"``/``"nan"``, exactly as the CLI
 ``--json`` flags emit them).
 
-Wire negotiation: a POST whose ``Content-Type`` is
-``application/x-repro-frame`` carries its body as a binary frame
-(:mod:`repro.service.wire`) and gets its response as one — the payload
-trees are identical to the JSON wire, floats travel as raw IEEE-754
-doubles, results stay bit-identical.  Everything else stays JSON, so
-``curl`` and old workers keep working untouched; ``GET /healthz``
-advertises the supported wire version and clients downgrade silently on
-any mismatch.
+One transport: every request body is read as JSON whatever its
+``Content-Type`` says, and every response is strict JSON (the row stream
+is SSE with JSON ``data:`` lines).  Coordinator-to-worker shard traffic
+is the same ``POST /batch`` a ``curl`` user sends; a body that does not
+parse as JSON is a ``400``.
 
 Keep-alive discipline (HTTP/1.1): error responses *drain* the unread
 request body first (bounded by ``MAX_BODY_BYTES``) so the next pipelined
@@ -143,7 +138,6 @@ from .remote import RemoteWorkerPool
 from .scheduler import ScenarioScheduler
 from .spec import ENGINE_VERSION, spec_from_dict, spec_kinds
 from .telemetry import MetricsRegistry, Tracer
-from .wire import WIRE_CONTENT_TYPE, WIRE_VERSION, WireError, decode_frame, encode_frame
 
 __all__ = ["ScenarioServer", "create_server", "run_server"]
 
@@ -251,7 +245,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     # Per-request state, reset by :meth:`_guarded`.  Class-level defaults
     # keep direct calls (tests poking one handler method) safe.
-    _frame_response = False
     _body_consumed = False
     _response_started = False
 
@@ -261,30 +254,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _send_json(self, status: int, payload: dict) -> None:
-        """Send ``payload`` in the request's negotiated format.
-
-        Despite the name (kept for the dozens of call sites), a request
-        that arrived as a binary frame — or explicitly ``Accept``-ed one —
-        is answered with a frame carrying the same payload tree; everyone
-        else gets the usual strict JSON.
-        """
-        tree = to_jsonable(payload)
-        if self._frame_response:
-            body = encode_frame(tree)
-            content_type = WIRE_CONTENT_TYPE
-        else:
-            body = json.dumps(tree, sort_keys=True, allow_nan=False).encode(
-                "utf-8"
-            )
-            content_type = "application/json"
-        self._response_started = True
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        """Send ``payload`` as strict JSON."""
+        self._send_text(
+            status,
+            json.dumps(to_jsonable(payload), sort_keys=True, allow_nan=False),
+            "application/json",
+        )
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
         body = text.encode("utf-8")
@@ -354,21 +329,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self.close_connection = True
 
     def _read_json_body(self):
-        """Read and decode the request body (JSON or a binary frame).
+        """Read and decode the JSON request body.
 
-        The request's ``Content-Type`` picks the decoder; sending a frame
-        (or an ``Accept`` for one) also flips the *response* to frames for
-        this request.  Raises ``ValueError``/:class:`WireError` on any
+        Raises ``ValueError`` (``UnicodeDecodeError`` included) on any
         malformed body — by which point the declared ``Content-Length``
         has been consumed, so the connection stays reusable.
         """
-        content_type = (
-            (self.headers.get("Content-Type") or "").split(";")[0].strip().lower()
-        )
-        is_frame = content_type == WIRE_CONTENT_TYPE
-        self._frame_response = is_frame or WIRE_CONTENT_TYPE in (
-            self.headers.get("Accept") or ""
-        )
         length = int(self.headers.get("Content-Length") or 0)
         if length <= 0:
             raise ValueError("request body required")
@@ -377,8 +343,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         if len(raw) == length:
             self._body_consumed = True
-        if is_frame:
-            return decode_frame(raw)
         return json.loads(raw.decode("utf-8"))
 
     # ------------------------------------------------------------------
@@ -400,7 +364,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         unread request body is drained (or the connection closed) before
         the next request is parsed off the socket.
         """
-        self._frame_response = False
         self._body_consumed = False
         self._response_started = False
         self._count_request(method)
@@ -427,13 +390,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 "version": __version__,
                 "engine_version": scheduler.engine_version,
                 "kinds": list(spec_kinds()),
-                # The wire handshake: a pooled client moves POST traffic
-                # to binary frames only when this advert names exactly its
-                # own WIRE_VERSION; anyone else stays on JSON.
-                "wire": {
-                    "version": WIRE_VERSION,
-                    "content_type": WIRE_CONTENT_TYPE,
-                },
             }
             if scheduler.journal is not None:
                 payload["journal"] = scheduler.journal.counts()
@@ -520,13 +476,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     ) -> None:
         """``GET /jobs/<id>/rows``: stream result rows as they land.
 
-        Each finished row goes out the moment its shard completes — as a
+        Each finished row goes out the moment its shard completes, as a
         Server-Sent-Events stream (``id:`` = row index, ``event: row``,
-        one JSON object per ``data:`` line, a terminal ``event: done``),
-        or as a sequence of length-prefixed binary frames when the client
-        ``Accept``s :data:`~repro.service.wire.WIRE_CONTENT_TYPE` (one
-        ``{"row": ...}`` frame per row, then one ``{"done": ...}``).  The
-        body is EOF-terminated (no ``Content-Length``), so the response
+        one JSON object per ``data:`` line, a terminal ``event: done``).
+        The body is EOF-terminated (no ``Content-Length``), so the response
         always closes the connection.
 
         Resume: ``Last-Event-ID: <index>`` restarts *after* that row (the
@@ -561,19 +514,13 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if start < 0:
             self._send_json(400, {"error": f"start must be >= 0, got {start}"})
             return
-        as_frames = WIRE_CONTENT_TYPE in (self.headers.get("Accept") or "")
 
         def emit(index: Optional[int], event: str, payload: dict) -> None:
-            if as_frames:
-                self.wfile.write(encode_frame({event: to_jsonable(payload)}))
-            else:
-                data = json.dumps(
-                    to_jsonable(payload), sort_keys=True, allow_nan=False
-                )
-                head = f"id: {index}\n" if index is not None else ""
-                self.wfile.write(
-                    f"{head}event: {event}\ndata: {data}\n\n".encode("utf-8")
-                )
+            data = json.dumps(to_jsonable(payload), sort_keys=True, allow_nan=False)
+            head = f"id: {index}\n" if index is not None else ""
+            self.wfile.write(
+                f"{head}event: {event}\ndata: {data}\n\n".encode("utf-8")
+            )
             self.wfile.flush()
 
         # No Content-Length: the stream ends at EOF, so this connection
@@ -581,10 +528,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.close_connection = True
         self._response_started = True
         self.send_response(200)
-        self.send_header(
-            "Content-Type",
-            WIRE_CONTENT_TYPE if as_frames else "text/event-stream",
-        )
+        self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-store")
         self.send_header("Connection", "close")
         self.end_headers()
@@ -662,14 +606,13 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         scheduler: ScenarioScheduler = self.server.scheduler
         try:
             body = self._read_json_body()
-        except (ValueError, UnicodeDecodeError, WireError) as error:
+        except ValueError as error:
             # The body may be partially (or not at all) consumed; drain it
             # so the keep-alive connection stays in sync for the next
             # request (closing instead only when draining is impossible —
             # see _discard_body).
             self._discard_body()
-            label = "frame" if isinstance(error, WireError) else "JSON"
-            self._send_json(400, {"error": f"invalid {label} body: {error}"})
+            self._send_json(400, {"error": f"invalid JSON body: {error}"})
             return
         try:
             if self.path == "/evaluate":
@@ -832,7 +775,6 @@ def create_server(
     reprobe_interval: Optional[float] = None,
     worker_timeout: Optional[float] = None,
     worker_connect_timeout: Optional[float] = None,
-    worker_wire: bool = True,
     journal_path: Optional[str] = None,
     cache_peers: Optional[Sequence[str]] = None,
     metrics: Optional[MetricsRegistry] = None,
@@ -846,9 +788,6 @@ def create_server(
     supplied.  ``worker_timeout``/``worker_connect_timeout`` bound one
     shard's response read and the TCP dial separately (a hung worker costs
     the connect budget, not the full read budget, before failover).
-    ``worker_wire=False`` pins the pool's shard traffic to JSON even
-    against wire-capable workers (``repro serve --no-wire``); by default
-    the transport is negotiated per worker through the health handshake.
     ``reprobe_interval`` (> 0) starts a
     :class:`~repro.service.remote.WorkerSupervisor` that re-probes dead
     workers in the background with exponential backoff, so a long-running
@@ -874,7 +813,7 @@ def create_server(
     if scheduler is None:
         pool = None
         if workers:
-            pool_kwargs = {"wire": worker_wire}
+            pool_kwargs = {}
             if worker_timeout is not None:
                 pool_kwargs["timeout"] = worker_timeout
             if worker_connect_timeout is not None:

@@ -31,8 +31,8 @@ pieces, composable but independently usable:
   series live here too: ``repro_remote_connections_total`` (labels
   ``worker``/``event`` ∈ dial, reuse, redial — the keep-alive pool's hit
   rate and stale-socket recoveries) and ``repro_remote_wire_bytes_total``
-  (labels ``worker``/``direction`` ∈ sent, received — binary-frame
-  payload bytes; JSON traffic is not counted).  The server adds
+  (labels ``worker``/``direction`` ∈ sent, received — the JSON request
+  and response bodies of shard ``POST /batch`` traffic).  The server adds
   ``repro_http_errors_total`` (same templated path/method labels as
   ``repro_http_requests_total``) for unhandled handler exceptions turned
   into structured 500s.  The scheduler and server

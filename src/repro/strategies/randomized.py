@@ -49,7 +49,7 @@ import numpy as np
 
 from ..core.bounds import single_robot_ray_ratio
 from ..exceptions import InvalidProblemError, InvalidStrategyError
-from ..geometry.trajectory import Trajectory, excursion_trajectory
+from ..geometry.trajectory import Trajectory, one_off_excursion_trajectory
 from ..simulation.engine import DEFAULT_ENGINE, SCALAR_ENGINE, validate_engine
 from ..simulation.monte_carlo import (
     DEFAULT_TRIALS_PER_BATCH,
@@ -136,8 +136,12 @@ class _SampledSchedule:
     excursions: Tuple[Tuple[int, float], ...]
 
     def trajectory(self) -> Trajectory:
-        """Materialise the sampled schedule as a trajectory."""
-        return excursion_trajectory(list(self.excursions))
+        """Materialise the sampled schedule as a trajectory.
+
+        Its radii carry a random offset, so it is built outside the
+        process-wide trajectory memo.
+        """
+        return one_off_excursion_trajectory(self.excursions)
 
 
 #: Randomness sources :meth:`RandomizedSingleRobotRayStrategy.sample` accepts:

@@ -37,6 +37,7 @@ from repro.geometry.trajectory import (
     Segment,
     Trajectory,
     excursion_trajectory,
+    one_off_excursion_trajectory,
     zigzag_trajectory,
 )
 from repro.simulation.monte_carlo import (
@@ -206,6 +207,40 @@ class TestTrajectoryMemo:
         for array in (compiled.ray(0).reaches, compiled.ray(0).offsets):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+    def test_sampled_schedules_stay_out_of_the_memo(self):
+        # A scalar randomized spec builds one trajectory per sampled offset;
+        # none of them may enter the memo and evict the geometric schedules
+        # a following simulate spec reuses.
+        from repro.service.execute import execute_spec
+        from repro.service.spec import MonteCarloRandomizedSpec, SimulateSpec
+
+        memo_info = trajectory_module._excursion_trajectory.cache_info
+        simulate = SimulateSpec(num_rays=3, num_robots=4, num_faulty=1, horizon=1e3)
+        execute_spec(simulate)
+        before = memo_info()
+        execute_spec(
+            MonteCarloRandomizedSpec(num_samples=200, seed=3, engine="scalar")
+        )
+        after_randomized = memo_info()
+        # The scalar path materialises only sampled schedules, so no
+        # geometric schedule is added either.
+        assert after_randomized.misses == before.misses
+        assert after_randomized.currsize == before.currsize
+        execute_spec(simulate)
+        after_simulate = memo_info()
+        assert after_simulate.misses == after_randomized.misses
+        assert after_simulate.hits - after_randomized.hits == 4  # one per robot
+
+    def test_one_off_schedule_equals_memoized_build(self):
+        pairs = [(0, 0.75), (1, 1.5), (0, 3.25)]
+        one_off = one_off_excursion_trajectory(pairs)
+        assert one_off is not excursion_trajectory(pairs)
+        assert one_off is not one_off_excursion_trajectory(pairs)
+        _assert_same_trajectory(one_off, excursion_trajectory(pairs))
+        _assert_same_trajectory(one_off, _eager_excursion_trajectory(pairs))
+        with pytest.raises(InvalidStrategyError):
+            one_off_excursion_trajectory([(0, 1.0), (1, -2.0)])
 
     def test_memo_is_bounded(self):
         for builder in (

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.tables import ExperimentTable
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, render_top
 from repro.reporting import (
     decode_float,
     encode_float,
@@ -489,3 +489,47 @@ class TestDistributedCli:
         assert [worker.url for worker in pool.workers] == [
             "http://127.0.0.1:9001", "http://127.0.0.1:9002"
         ]
+
+
+class TestTopIntervalValidation:
+    """`repro top --interval` rejects sub-clamp values."""
+
+    @pytest.mark.parametrize("value", ["0.05", "0", "-1", "nan", "abc"])
+    def test_rejects_invalid_intervals(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["top", "--interval", value])
+        assert excinfo.value.code == 2
+        assert "interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0.1", "2", "30.5"])
+    def test_accepts_valid_intervals(self, value):
+        args = build_parser().parse_args(["top", "--interval", value])
+        assert args.interval == float(value)
+
+    def test_throughput_line_guarded_against_zero_elapsed(self):
+        def snapshot(total):
+            return {
+                "since": 0,
+                "counters": [
+                    {
+                        "name": "repro_scenarios_total",
+                        "labels": {"outcome": "computed"},
+                        "value": total,
+                    }
+                ],
+                "gauges": [],
+                "histograms": [],
+            }
+
+        # A normal refresh shows the rate...
+        frame = render_top(snapshot(100), previous=snapshot(40), elapsed=2.0)
+        assert "30.0 scenarios/s" in frame
+        # ... a zero-elapsed refresh must not divide by zero ...
+        frame = render_top(snapshot(100), previous=snapshot(40), elapsed=0.0)
+        assert "scenarios/s" not in frame
+        # ... and a counter that moved backwards (server restart) is
+        # omitted rather than shown as a negative rate.
+        frame = render_top(snapshot(10), previous=snapshot(40), elapsed=2.0)
+        assert "scenarios/s" not in frame
+        # No previous frame at all (the first paint) renders fine too.
+        assert render_top(snapshot(100)).startswith("repro top")

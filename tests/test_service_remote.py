@@ -94,6 +94,24 @@ class TestMultiWorkerBitIdentity:
         assert randomized["closed_form"] == pytest.approx(4.5911, abs=5e-5)
         assert randomized["within_3_std_errors"] is True
 
+    def test_wire_bytes_count_the_json_shard_bodies(self, workers):
+        # Shard traffic is JSON both ways, and the byte counter reads its
+        # exact bodies; health probes are not shard traffic.
+        worker = RemoteWorker(workers[0].url)
+        sent, received = worker._wire_bytes["sent"], worker._wire_bytes["received"]
+        # Labelled by URL in the process-wide registry: other tests' traffic
+        # to this worker is in the totals too, so read deltas.
+        sent_before, received_before = sent.value, received.value
+        assert worker.check_health()
+        assert (sent.value, received.value) == (sent_before, received_before)
+        results = worker.evaluate_shard([GOLDEN_SIMULATE.to_dict()])
+        request = {"scenarios": [GOLDEN_SIMULATE.to_dict()], "results_only": True}
+        assert sent.value - sent_before == len(json.dumps(request).encode("utf-8"))
+        assert received.value - received_before == len(
+            json.dumps({"results": results}, sort_keys=True).encode("utf-8")
+        )
+        worker.close()
+
     def test_montecarlo_grid_matches_serial_sweep_over_workers(self, workers):
         grid = [(2, 1, 0), (2, 3, 1), (3, 2, 0)]
         rows = sweep_random_faults(

@@ -1,7 +1,15 @@
-"""End-to-end tests of the HTTP evaluation server on an ephemeral port."""
+"""End-to-end tests of the HTTP evaluation server on an ephemeral port.
+
+Besides the endpoints themselves, this covers the HTTP/1.1 keep-alive
+discipline persistent worker connections rely on: error responses drain
+the request body so the next request on the socket stays in sync, and
+unhandled handler exceptions produce a structured 500 with
+``Connection: close`` instead of stranding the client.
+"""
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -9,20 +17,30 @@ import urllib.request
 
 import pytest
 
-from repro.service.server import create_server
+from repro.service.remote import RemoteWorker
+from repro.service.server import MAX_BODY_BYTES, create_server
+from repro.service.spec import SimulateSpec
+from repro.service.telemetry import MetricsRegistry, Tracer
+
+GOLDEN_SIMULATE = SimulateSpec(num_rays=2, num_robots=1, num_faulty=0, horizon=200.0)
 
 
 @pytest.fixture(scope="module")
-def server_url():
+def server():
     server = create_server(host="127.0.0.1", port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield server.url
+        yield server
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)
+
+
+@pytest.fixture(scope="module")
+def server_url(server):
+    return server.url
 
 
 def _get(url: str):
@@ -270,3 +288,176 @@ class TestJobsEndpoint:
         status, body = _post(server_url + "/jobs", {"scenarios": []})
         assert status == 400
         assert "non-empty" in body["error"]
+
+
+class TestKeepAliveProtocol:
+    """Error paths over raw persistent connections leave the socket usable."""
+
+    def _connect(self, server):
+        host, port = server.server_address[:2]
+        return http.client.HTTPConnection(host, port, timeout=60)
+
+    def _assert_still_in_sync(self, connection):
+        connection.request("GET", "/healthz")
+        response = connection.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["status"] == "ok"
+
+    def test_error_response_drains_body_and_keeps_connection(self, server):
+        # A 400 must leave the socket usable: the follow-up request on the
+        # SAME connection would desync (or hang) if the unread body bytes
+        # were left behind.
+        connection = self._connect(server)
+        try:
+            connection.request(
+                "POST",
+                "/batch",
+                body=b'{"scenarios": [}' + b"x" * 4096,
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 400
+            assert "invalid JSON body" in body["error"]
+            assert response.getheader("Connection") != "close"
+            self._assert_still_in_sync(connection)
+        finally:
+            connection.close()
+
+    def test_get_with_request_body_stays_in_sync(self, server):
+        # GET handlers never read a body; without the drain the body bytes
+        # would be parsed as the next request line.
+        connection = self._connect(server)
+        try:
+            connection.request("GET", "/healthz", body=b'{"stray": "body"}')
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+
+            connection.request("GET", "/cache/stats")
+            response = connection.getresponse()
+            assert response.status == 200
+            json.loads(response.read())
+        finally:
+            connection.close()
+
+    def test_oversize_body_closes_connection(self, server):
+        # A body too large to drain: the 400 must carry Connection: close
+        # instead of reading 32 MiB (the body is never sent here — the
+        # server must answer from the headers alone).
+        connection = self._connect(server)
+        try:
+            connection.putrequest("POST", "/batch")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            connection.endheaders()
+            response = connection.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 400
+            assert "exceeds" in body["error"]
+            assert response.getheader("Connection") == "close"
+            assert response.will_close
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize(
+        "content_type", ["application/json", "application/x-repro-frame"]
+    )
+    def test_non_json_body_structured_400_keeps_connection(
+        self, server, content_type
+    ):
+        # Binary bytes that are not UTF-8, let alone JSON.  The declared
+        # Content-Type changes nothing: every body is read as JSON, so a
+        # client still sending the retired binary frames gets the same
+        # structured 400 (never a 500) and keeps its connection.
+        connection = self._connect(server)
+        try:
+            connection.request(
+                "POST",
+                "/batch",
+                body=b"RF\x01\x00\x00\x00\x00\x01\xfe",
+                headers={"Content-Type": content_type},
+            )
+            response = connection.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 400
+            assert response.getheader("Content-Type") == "application/json"
+            assert "invalid JSON body" in body["error"]
+            assert response.getheader("Connection") != "close"
+            self._assert_still_in_sync(connection)
+        finally:
+            connection.close()
+
+
+class TestUnhandledExceptionHandling:
+    """No handler may strand a keep-alive client."""
+
+    @pytest.fixture()
+    def broken_server(self):
+        server = create_server(
+            host="127.0.0.1", port=0, metrics=MetricsRegistry(), tracer=Tracer()
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            yield server
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+
+    def _error_count(self, server):
+        snapshot = server.scheduler.metrics.snapshot()
+        return sum(
+            entry["value"]
+            for entry in snapshot.get("counters", [])
+            if entry["name"] == "repro_http_errors_total"
+        )
+
+    def test_unhandled_get_exception_returns_structured_500(self, broken_server):
+        def explode():
+            raise RuntimeError("stats backend exploded")
+
+        broken_server.scheduler.cache.stats = explode
+        host, port = broken_server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=60)
+        try:
+            connection.request("GET", "/cache/stats")
+            response = connection.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 500
+            assert "internal error" in body["error"]
+            assert "exploded" in body["error"]
+            assert response.getheader("Connection") == "close"
+            assert response.will_close
+        finally:
+            connection.close()
+        assert self._error_count(broken_server) == 1
+
+    def test_unhandled_post_exception_returns_structured_500(self, broken_server):
+        def explode(spec):
+            raise RuntimeError("evaluator exploded")
+
+        broken_server.scheduler.evaluate = explode
+        host, port = broken_server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=60)
+        try:
+            connection.request(
+                "POST",
+                "/evaluate",
+                body=json.dumps(GOLDEN_SIMULATE.to_dict()).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 500
+            assert "internal error" in body["error"]
+            assert response.getheader("Connection") == "close"
+        finally:
+            connection.close()
+        assert self._error_count(broken_server) == 1
+
+    def test_healthy_request_does_not_count_errors(self, broken_server):
+        worker = RemoteWorker(broken_server.url)
+        assert worker.check_health()
+        assert self._error_count(broken_server) == 0

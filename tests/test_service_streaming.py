@@ -2,8 +2,8 @@
 ``GET /jobs/<id>/rows``.
 
 Covers the ordered row sink at the scheduler layer (rows land the moment
-their shard completes, exactly once, in index order), the SSE and binary
-frame wire formats with their resume cursors, streaming through a worker
+their shard completes, exactly once, in index order), the SSE stream with
+its resume cursors, streaming through a worker
 failover, the client-disconnect path, and the metrics path templating that
 keeps ``/jobs/<id>/rows`` out of the ``/jobs/:id`` poll counter.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import socket
-import struct
 import threading
 import time
 import urllib.error
@@ -28,7 +27,6 @@ from repro.service.remote import RemoteWorkerPool
 from repro.service.scheduler import BatchJob, ScenarioScheduler
 from repro.service.server import _metric_path, create_server
 from repro.service.spec import SimulateSpec
-from repro.service.wire import WIRE_CONTENT_TYPE, decode_frame
 
 
 class TestMetricPathTemplating:
@@ -189,34 +187,6 @@ def _parse_sse(stream):
             data = line[len("data: ") :]
 
 
-_FRAME_HEADER = struct.Struct("!2sBBI")
-
-
-def _iter_frames(stream):
-    """Decode the self-delimiting frames of a binary stream as they arrive."""
-    while True:
-        header = stream.read(_FRAME_HEADER.size)
-        if not header:
-            return
-        _magic, _version, _flags, length = _FRAME_HEADER.unpack(header)
-        yield decode_frame(header + stream.read(length))
-
-
-def _read_frames(stream):
-    """Decode the concatenated self-delimiting frames of a binary stream."""
-    return list(_iter_frames(stream))
-
-
-def _stream_events(response, as_frames):
-    """Yield ``(event, data)`` pairs from an SSE or a binary-frame stream."""
-    if as_frames:
-        for frame in _iter_frames(response):
-            yield next(iter(frame.items()))
-    else:
-        for _id, event, data in _parse_sse(response):
-            yield event, data
-
-
 class TestRowsEndpoint:
     def test_sse_stream_delivers_every_row_in_order_before_completion(
         self, streaming_server
@@ -273,46 +243,25 @@ class TestRowsEndpoint:
         with urllib.request.urlopen(request, timeout=60) as response:
             assert list(_parse_sse(response)) == full[5:]
 
-    def test_binary_frame_stream_matches_sse_payloads(self, streaming_server):
-        specs = _grid(5, offset=400.0)
-        job_id = _submit(streaming_server.url, specs)
-        rows_url = f"{streaming_server.url}/jobs/{job_id}/rows"
-        with urllib.request.urlopen(rows_url, timeout=120) as response:
-            sse = list(_parse_sse(response))
-        request = urllib.request.Request(
-            rows_url, headers={"Accept": WIRE_CONTENT_TYPE}
-        )
-        with urllib.request.urlopen(request, timeout=60) as response:
-            assert response.headers["Content-Type"] == WIRE_CONTENT_TYPE
-            frames = _read_frames(response)
-        assert [frame["row"] for frame in frames[:-1]] == [
-            data for _id, _event, data in sse[:-1]
-        ]
-        assert frames[-1] == {"done": {"state": "done", "num_rows": 5}}
-
     def test_done_event_waits_for_the_terminal_state(self, streaming_server):
         # Scripted interleaving: every row is published while the job is
         # still running, and the job finishes only once the client has read
         # them all.  The terminal event must carry the finished state, never
-        # "running", in both wire formats.
+        # "running".
         specs = _grid(3, offset=500.0)
         batch = ScenarioScheduler().run_batch(specs, max_workers=1)
         keys = [spec.cache_key() for spec in specs]
-        for as_frames in (False, True):
-            job = BatchJob(job_id=uuid.uuid4().hex, keys=keys)
-            job._publish(list(zip(keys, batch.results)))
-            streaming_server.scheduler._register_job(job)
-            request = urllib.request.Request(
-                f"{streaming_server.url}/jobs/{job.job_id}/rows",
-                headers={"Accept": WIRE_CONTENT_TYPE} if as_frames else {},
-            )
-            with urllib.request.urlopen(request, timeout=60) as response:
-                events = _stream_events(response, as_frames)
-                rows = [next(events) for _ in range(3)]
-                assert [event for event, _data in rows] == ["row"] * 3
-                job._finish(batch)
-                done = next(events)
-            assert done == ("done", {"state": "done", "num_rows": 3})
+        job = BatchJob(job_id=uuid.uuid4().hex, keys=keys)
+        job._publish(list(zip(keys, batch.results)))
+        streaming_server.scheduler._register_job(job)
+        rows_url = f"{streaming_server.url}/jobs/{job.job_id}/rows"
+        with urllib.request.urlopen(rows_url, timeout=60) as response:
+            events = _parse_sse(response)
+            rows = [next(events) for _ in range(3)]
+            assert [event for _id, event, _data in rows] == ["row"] * 3
+            job._finish(batch)
+            _id, event, done = next(events)
+        assert (event, done) == ("done", {"state": "done", "num_rows": 3})
 
     def test_unknown_job_and_bad_cursors(self, streaming_server):
         status, body = _get(streaming_server.url + "/jobs/nope/rows")

@@ -1,61 +1,22 @@
-"""Binary wire format, content negotiation and keep-alive protocol fixes.
+"""The binary frame codec (:mod:`repro.service.wire`).
 
-Three layers:
-
-* the frame codec itself (:mod:`repro.service.wire`) — exact round-trips,
-  float bit-identity, column packing, compression, every malformed-input
-  error path;
-* negotiation — a wire-capable client against a real ``repro serve``
-  (frames both ways, results bit-identical to the JSON wire and to serial
-  evaluation, goldens included) and against a non-advertising worker
-  double (silently stays on JSON);
-* the HTTP/1.1 keep-alive bugfixes the persistent connections exposed —
-  error responses drain the request body so the next pipelined request
-  stays in sync, and unhandled handler exceptions produce a structured
-  500 with ``Connection: close`` instead of stranding the client.
+Exact round-trips, float bit-identity, column packing, compression and
+every malformed-input error path.  The serving path no longer uses the
+codec (worker links and row streams speak JSON only); the module and
+these tests stay while ``perfbench/workloads.py`` replays shard bodies
+through it for its ``wire.*`` metrics, and go with those metrics.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import struct
-import threading
 
 import pytest
 
-from service_helpers import DroppingWorkerServer
-
 from repro.service import wire
-from repro.service.remote import RemoteWorker, RemoteWorkerPool
-from repro.service.scheduler import ScenarioScheduler
-from repro.service.server import MAX_BODY_BYTES, create_server
-from repro.service.spec import MonteCarloRandomizedSpec, SimulateSpec
-from repro.service.telemetry import MetricsRegistry, Tracer
-from repro.service.wire import (
-    WIRE_CONTENT_TYPE,
-    WIRE_VERSION,
-    WireError,
-    decode_frame,
-    encode_frame,
-)
-
-GOLDEN_SIMULATE = SimulateSpec(num_rays=2, num_robots=1, num_faulty=0, horizon=200.0)
-GOLDEN_RANDOMIZED = MonteCarloRandomizedSpec(
-    num_rays=2, num_samples=4000, seed=7, horizon=1000.0
-)
-
-
-def _grid():
-    """>= 200 scenarios, 50% duplicates, with both golden scenarios inside."""
-    unique = [
-        SimulateSpec(num_rays=m, num_robots=k, num_faulty=f, horizon=float(horizon))
-        for m, k, f in [(2, 1, 0), (2, 3, 1)]
-        for horizon in range(10, 60)
-    ]
-    unique += [GOLDEN_SIMULATE, GOLDEN_RANDOMIZED]
-    return unique + list(reversed(unique))
+from repro.service.wire import WIRE_VERSION, WireError, decode_frame, encode_frame
 
 
 # ----------------------------------------------------------------------
@@ -194,353 +155,3 @@ class TestFrameCodec:
 
     def test_tuples_encode_as_lists(self):
         assert decode_frame(encode_frame((1, 2, 3))) == [1, 2, 3]
-
-
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def worker_server():
-    server = create_server(host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-
-
-class TestNegotiation:
-    def test_healthz_advertises_wire(self, worker_server):
-        worker = RemoteWorker(worker_server.url)
-        assert worker.check_health()
-        assert worker.wire_enabled is True
-
-    def test_wire_false_client_stays_on_json(self, worker_server):
-        worker = RemoteWorker(worker_server.url, wire=False)
-        assert worker.check_health()
-        assert worker.wire_enabled is False
-        results = worker.evaluate_shard([GOLDEN_SIMULATE.to_dict()])
-        assert results[0]["theoretical"] == 9.0
-
-    def test_non_advertising_worker_silently_stays_on_json(self):
-        # An old worker (no "wire" in /healthz) must keep working over
-        # JSON with no error and no frames.
-        double = DroppingWorkerServer()
-        thread = threading.Thread(target=double.serve_forever, daemon=True)
-        thread.start()
-        try:
-            worker = RemoteWorker(double.url)
-            assert worker.check_health()
-            assert worker.wire_enabled is False
-            results = worker.evaluate_shard([GOLDEN_SIMULATE.to_dict()])
-            assert results[0]["theoretical"] == 9.0
-            assert worker._wire_bytes["sent"].value == 0
-        finally:
-            double.shutdown()
-            double.server_close()
-            thread.join(timeout=10)
-
-    def test_wire_batch_bit_identical_to_json_and_serial(self, worker_server):
-        scenarios = _grid()
-        assert len(scenarios) >= 200
-        serial = ScenarioScheduler().run_batch(scenarios, max_workers=1)
-
-        wire_pool = RemoteWorkerPool([worker_server.url])
-        wired = ScenarioScheduler(workers=wire_pool).run_batch(
-            scenarios, max_workers=1, shard_size=8
-        )
-        # Both pools share one worker URL and therefore one labelled
-        # wire-bytes counter in the global registry; snapshot it between
-        # the runs to show the JSON pool adds nothing.
-        wire_bytes_sent = wire_pool.workers[0]._wire_bytes["sent"].value
-        json_pool = RemoteWorkerPool([worker_server.url], wire=False)
-        jsoned = ScenarioScheduler(workers=json_pool).run_batch(
-            scenarios, max_workers=1, shard_size=8
-        )
-
-        assert wired.remote_evaluated > 0
-        assert list(wired.results) == list(serial.results)  # bit-identical
-        assert list(jsoned.results) == list(serial.results)
-
-        # The wire pool really did speak frames over pooled connections.
-        worker = wire_pool.workers[0]
-        assert worker.wire_enabled is True
-        assert worker._wire_bytes["sent"].value > 0
-        assert worker._wire_bytes["received"].value > 0
-        stats = worker.connection_stats()
-        assert stats["reuses"] > 0
-        # ... and the JSON pool did not.
-        json_worker = json_pool.workers[0]
-        assert json_worker.wire_enabled is False
-        assert json_worker._wire_bytes["sent"].value == wire_bytes_sent
-
-        # The goldens rode along: line ratio exactly 9, randomized 4.5911.
-        golden = next(
-            payload
-            for payload in wired.results
-            if payload["kind"] == "simulate" and payload["spec"]["horizon"] == 200.0
-        )
-        assert golden["theoretical"] == 9.0
-        randomized = next(
-            payload
-            for payload in wired.results
-            if payload["kind"] == "montecarlo_randomized"
-        )
-        assert randomized["closed_form"] == pytest.approx(4.5911, abs=5e-5)
-
-        wire_pool.close()
-        json_pool.close()
-
-    def test_frame_request_gets_frame_response(self, worker_server):
-        host, port = worker_server.server_address[:2]
-        connection = http.client.HTTPConnection(host, port, timeout=60)
-        try:
-            body = encode_frame({"scenarios": [GOLDEN_SIMULATE.to_dict()]})
-            connection.request(
-                "POST",
-                "/batch",
-                body=body,
-                headers={"Content-Type": WIRE_CONTENT_TYPE},
-            )
-            response = connection.getresponse()
-            raw = response.read()
-            assert response.status == 200
-            assert response.getheader("Content-Type") == WIRE_CONTENT_TYPE
-            payload = decode_frame(raw)
-            assert payload["results"][0]["theoretical"] == 9.0
-
-            # Same request as JSON gets JSON back — and the exact same tree.
-            connection.request(
-                "POST",
-                "/batch",
-                body=json.dumps({"scenarios": [GOLDEN_SIMULATE.to_dict()]}).encode(),
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            json_payload = json.loads(response.read())
-            assert response.getheader("Content-Type") == "application/json"
-            assert json_payload["results"] == payload["results"]
-        finally:
-            connection.close()
-
-
-# ----------------------------------------------------------------------
-class TestKeepAliveProtocol:
-    """The satellite bugfixes, exercised over raw persistent connections."""
-
-    def _connect(self, server):
-        host, port = server.server_address[:2]
-        return http.client.HTTPConnection(host, port, timeout=60)
-
-    def test_error_response_drains_body_and_keeps_connection(self, worker_server):
-        # A 400 must leave the socket usable: the follow-up request on the
-        # SAME connection would desync (or hang) if the unread body bytes
-        # were left behind.
-        connection = self._connect(worker_server)
-        try:
-            connection.request(
-                "POST",
-                "/batch",
-                body=b'{"scenarios": [}' + b"x" * 4096,
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            body = json.loads(response.read())
-            assert response.status == 400
-            assert "invalid JSON body" in body["error"]
-            assert response.getheader("Connection") != "close"
-
-            connection.request("GET", "/healthz")
-            response = connection.getresponse()
-            assert response.status == 200
-            assert json.loads(response.read())["status"] == "ok"
-        finally:
-            connection.close()
-
-    def test_get_with_request_body_stays_in_sync(self, worker_server):
-        # GET handlers never read a body; without the drain the body bytes
-        # would be parsed as the next request line.
-        connection = self._connect(worker_server)
-        try:
-            connection.request("GET", "/healthz", body=b'{"stray": "body"}')
-            response = connection.getresponse()
-            assert response.status == 200
-            assert json.loads(response.read())["status"] == "ok"
-
-            connection.request("GET", "/cache/stats")
-            response = connection.getresponse()
-            assert response.status == 200
-            json.loads(response.read())
-        finally:
-            connection.close()
-
-    def test_oversize_body_closes_connection(self, worker_server):
-        # A body too large to drain: the 400 must carry Connection: close
-        # instead of reading 32 MiB (the body is never sent here — the
-        # server must answer from the headers alone).
-        connection = self._connect(worker_server)
-        try:
-            connection.putrequest("POST", "/batch")
-            connection.putheader("Content-Type", "application/json")
-            connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
-            connection.endheaders()
-            response = connection.getresponse()
-            body = json.loads(response.read())
-            assert response.status == 400
-            assert "exceeds" in body["error"]
-            assert response.getheader("Connection") == "close"
-            assert response.will_close
-        finally:
-            connection.close()
-
-    def test_malformed_frame_body_structured_400_keeps_connection(
-        self, worker_server
-    ):
-        connection = self._connect(worker_server)
-        try:
-            bad = struct.pack("!2sBBI", b"RF", WIRE_VERSION, 0, 1) + b"\xfe"
-            connection.request(
-                "POST",
-                "/batch",
-                body=bad,
-                headers={"Content-Type": WIRE_CONTENT_TYPE},
-            )
-            response = connection.getresponse()
-            raw = response.read()
-            assert response.status == 400
-            # The error itself is negotiated: frame in, frame out.
-            assert response.getheader("Content-Type") == WIRE_CONTENT_TYPE
-            assert "invalid frame body" in decode_frame(raw)["error"]
-
-            connection.request("GET", "/healthz")
-            response = connection.getresponse()
-            assert response.status == 200
-            json.loads(response.read())
-        finally:
-            connection.close()
-
-
-class TestUnhandledExceptionHandling:
-    """Satellite 2: no handler may strand a keep-alive client."""
-
-    @pytest.fixture()
-    def broken_server(self):
-        server = create_server(
-            host="127.0.0.1", port=0, metrics=MetricsRegistry(), tracer=Tracer()
-        )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield server
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-
-    def _error_count(self, server):
-        snapshot = server.scheduler.metrics.snapshot()
-        return sum(
-            entry["value"]
-            for entry in snapshot.get("counters", [])
-            if entry["name"] == "repro_http_errors_total"
-        )
-
-    def test_unhandled_get_exception_returns_structured_500(self, broken_server):
-        def explode():
-            raise RuntimeError("stats backend exploded")
-
-        broken_server.scheduler.cache.stats = explode
-        host, port = broken_server.server_address[:2]
-        connection = http.client.HTTPConnection(host, port, timeout=60)
-        try:
-            connection.request("GET", "/cache/stats")
-            response = connection.getresponse()
-            body = json.loads(response.read())
-            assert response.status == 500
-            assert "internal error" in body["error"]
-            assert "exploded" in body["error"]
-            assert response.getheader("Connection") == "close"
-            assert response.will_close
-        finally:
-            connection.close()
-        assert self._error_count(broken_server) == 1
-
-    def test_unhandled_post_exception_returns_structured_500(self, broken_server):
-        def explode(spec):
-            raise RuntimeError("evaluator exploded")
-
-        broken_server.scheduler.evaluate = explode
-        host, port = broken_server.server_address[:2]
-        connection = http.client.HTTPConnection(host, port, timeout=60)
-        try:
-            connection.request(
-                "POST",
-                "/evaluate",
-                body=json.dumps(GOLDEN_SIMULATE.to_dict()).encode(),
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            body = json.loads(response.read())
-            assert response.status == 500
-            assert "internal error" in body["error"]
-            assert response.getheader("Connection") == "close"
-        finally:
-            connection.close()
-        assert self._error_count(broken_server) == 1
-
-    def test_healthy_request_does_not_count_errors(self, broken_server):
-        worker = RemoteWorker(broken_server.url)
-        assert worker.check_health()
-        assert self._error_count(broken_server) == 0
-
-
-# ----------------------------------------------------------------------
-class TestTopIntervalValidation:
-    """Satellite 3: `repro top --interval` rejects sub-clamp values."""
-
-    @pytest.mark.parametrize("value", ["0.05", "0", "-1", "nan", "abc"])
-    def test_rejects_invalid_intervals(self, value, capsys):
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["top", "--interval", value])
-        assert excinfo.value.code == 2
-        assert "interval" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["0.1", "2", "30.5"])
-    def test_accepts_valid_intervals(self, value):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["top", "--interval", value])
-        assert args.interval == float(value)
-
-    def test_throughput_line_guarded_against_zero_elapsed(self):
-        from repro.cli import render_top
-
-        def snapshot(total):
-            return {
-                "since": 0,
-                "counters": [
-                    {
-                        "name": "repro_scenarios_total",
-                        "labels": {"outcome": "computed"},
-                        "value": total,
-                    }
-                ],
-                "gauges": [],
-                "histograms": [],
-            }
-
-        # A normal refresh shows the rate...
-        frame = render_top(snapshot(100), previous=snapshot(40), elapsed=2.0)
-        assert "30.0 scenarios/s" in frame
-        # ... a zero-elapsed refresh must not divide by zero ...
-        frame = render_top(snapshot(100), previous=snapshot(40), elapsed=0.0)
-        assert "scenarios/s" not in frame
-        # ... and a counter that moved backwards (server restart) is
-        # omitted rather than shown as a negative rate.
-        frame = render_top(snapshot(10), previous=snapshot(40), elapsed=2.0)
-        assert "scenarios/s" not in frame
-        # No previous frame at all (the first paint) renders fine too.
-        assert render_top(snapshot(100)).startswith("repro top")
