@@ -136,6 +136,12 @@ class TestCliParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiments", "--only", "E99"])
 
+    def test_serve_has_no_wire_opt_out(self):
+        # Worker links speak JSON only, so there is no binary wire to turn off.
+        assert build_parser().parse_args(["serve", "--port", "0"]).port == 0
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--no-wire"])
+
 
 class TestCliCommands:
     def test_bounds_command(self, capsys):

@@ -112,6 +112,21 @@ class TestMultiWorkerBitIdentity:
         )
         worker.close()
 
+    def test_single_worker_batch_reuses_pooled_json_connections(self, workers):
+        scenarios = _acceptance_grid()
+        serial = ScenarioScheduler().run_batch(scenarios, max_workers=1)
+        pool = RemoteWorkerPool([workers[0].url])
+        try:
+            remote = ScenarioScheduler(workers=pool).run_batch(
+                scenarios, max_workers=1, shard_size=8
+            )
+            assert remote.remote_evaluated > 0
+            assert list(remote.results) == list(serial.results)  # bit-identical
+            # Every shard after the first rides a kept-alive connection.
+            assert pool.workers[0].connection_stats()["reuses"] > 0
+        finally:
+            pool.close()
+
     def test_montecarlo_grid_matches_serial_sweep_over_workers(self, workers):
         grid = [(2, 1, 0), (2, 3, 1), (3, 2, 0)]
         rows = sweep_random_faults(

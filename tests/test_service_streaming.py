@@ -243,6 +243,22 @@ class TestRowsEndpoint:
         with urllib.request.urlopen(request, timeout=60) as response:
             assert list(_parse_sse(response)) == full[5:]
 
+    def test_frame_accept_header_still_gets_the_sse_stream(self, streaming_server):
+        # The row stream has one format: a client that asks for binary
+        # frames gets the same SSE events as one that asks for nothing.
+        specs = _grid(5, offset=400.0)
+        job_id = _submit(streaming_server.url, specs)
+        rows_url = f"{streaming_server.url}/jobs/{job_id}/rows"
+        with urllib.request.urlopen(rows_url, timeout=120) as response:
+            sse = list(_parse_sse(response))
+        request = urllib.request.Request(
+            rows_url, headers={"Accept": "application/x-repro-frame"}
+        )
+        with urllib.request.urlopen(request, timeout=60) as response:
+            assert response.headers["Content-Type"] == "text/event-stream"
+            assert list(_parse_sse(response)) == sse
+        assert sse[-1][1:] == ("done", {"state": "done", "num_rows": 5})
+
     def test_done_event_waits_for_the_terminal_state(self, streaming_server):
         # Scripted interleaving: every row is published while the job is
         # still running, and the job finishes only once the client has read
