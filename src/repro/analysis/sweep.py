@@ -19,7 +19,7 @@ import multiprocessing
 import os
 import pickle
 import threading
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
@@ -257,25 +257,15 @@ def map_rows(
     worker: Callable[[tuple], "_RowT"],
     tasks: List[tuple],
     max_workers: Optional[int] = None,
-    progress: Optional[Callable[[int], None]] = None,
 ) -> List["_RowT"]:
     """Map ``worker`` over ``tasks``, in parallel when it pays off.
 
-    This is the single process-pool fan-out shared by every sweep function
-    *and* by the service batch scheduler
-    (:mod:`repro.service.scheduler`); ``worker`` must be a picklable
-    top-level callable.  Row order always matches task order.  Any
-    pool-level failure (a worker machine without fork, unpicklable
-    strategies, a broken pool) degrades to the serial path rather than
-    surfacing an infrastructure error; pass ``max_workers=1`` to force
-    serial evaluation.
-
-    ``progress`` is called with the index of each task as it completes
-    (completion order, not task order) — the hook the service's async batch
-    jobs use for partial progress counts.  It runs on the coordinating
-    thread and must not raise.  When the pool breaks mid-run and the map
-    degrades to the serial path, an index may be reported twice; treat the
-    callback as monotone best-effort, not an exact ledger.
+    The process-pool fan-out of the sweep functions below; ``worker`` must
+    be a picklable top-level callable.  Row order always matches task
+    order.  Any pool-level failure (a worker machine without fork,
+    unpicklable strategies, a broken pool) degrades to the serial path
+    rather than surfacing an infrastructure error; pass ``max_workers=1``
+    to force serial evaluation.
     """
     workers = _resolve_workers(max_workers, len(tasks))
     if workers > 1:
@@ -283,26 +273,10 @@ def map_rows(
             with ProcessPoolExecutor(
                 max_workers=workers, mp_context=_pool_context()
             ) as pool:
-                if progress is None:
-                    return list(pool.map(worker, tasks))
-                futures = {
-                    pool.submit(worker, task): index
-                    for index, task in enumerate(tasks)
-                }
-                results: List[Optional["_RowT"]] = [None] * len(tasks)
-                for future in as_completed(futures):
-                    index = futures[future]
-                    results[index] = future.result()
-                    progress(index)
-                return results  # type: ignore[return-value]
+                return list(pool.map(worker, tasks))
         except (pickle.PicklingError, AttributeError, TypeError, BrokenProcessPool, OSError):
             pass
-    results = []
-    for index, task in enumerate(tasks):
-        results.append(worker(task))
-        if progress is not None:
-            progress(index)
-    return results
+    return [worker(task) for task in tasks]
 
 
 def suggest_shard_size(

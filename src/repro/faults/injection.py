@@ -262,19 +262,13 @@ def sample_spread_targets(
     if not math.isfinite(horizon):
         raise InvalidProblemError(f"horizon must be finite, got {horizon}")
     top = math.log10(max(horizon, 10.0))
-    targets: List[RayPoint] = []
-    for _ in range(count):
-        # ``rng.uniform(0.0, top)`` is ``0.0 + top * rng.random()``: the
-        # same single draw and the same bits, without uniform's argument
-        # handling on every call.
-        exponent = rng.random() * top
-        targets.append(
-            RayPoint(
-                ray=int(rng.integers(0, num_rays)),
-                distance=min(horizon, max(1.0, 10.0**exponent)),
-            )
-        )
-    return targets
+    # Two vector draws: every exponent first, then every ray.
+    exponents = rng.random(count) * top
+    rays = rng.integers(0, num_rays, size=count)
+    return [
+        RayPoint(ray=ray, distance=min(horizon, max(1.0, 10.0**exponent)))
+        for ray, exponent in zip(rays.tolist(), exponents.tolist())
+    ]
 
 
 def _ratio_column(batch: FaultTrialBatch, detection_times: np.ndarray) -> np.ndarray:

@@ -33,7 +33,11 @@ re-validating every :class:`Segment`.  Invalid inputs raise on every call;
 a failed build is never cached.  A schedule that is built once and never
 again (a randomized strategy's sampled offset) goes through
 :func:`one_off_excursion_trajectory` instead, so it cannot evict the
-reusable ones.  A memoized excursion schedule computes its
+reusable ones.  The geometric and cyclic strategies build their
+schedules as the memo key itself (``(int ray, float radius)`` pairs they
+have checked) and call the memo ``_excursion_trajectory`` directly,
+without the per-pair normalisation of :func:`excursion_trajectory`.  A
+memoized excursion schedule computes its
 arrival pieces straight from the ``(ray, radius)`` pairs and builds its
 segments only when asked, so the memo adds little to every full garbage
 collection.
@@ -493,6 +497,7 @@ def _excursion_key(
 
 @lru_cache(maxsize=TRAJECTORY_MEMO_SIZE)
 def _excursion_trajectory(excursions: Tuple[Tuple[int, float], ...]) -> Trajectory:
+    """The memo itself; ``excursions`` must already be a valid key."""
     return _ExcursionTrajectory(excursions)
 
 

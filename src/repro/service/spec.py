@@ -69,7 +69,7 @@ __all__ = [
 #: Version string folded into every cache key.  Bump the suffix whenever an
 #: engine change may alter numeric results for an unchanged spec — every
 #: previously cached entry is then invalidated automatically.
-ENGINE_VERSION = f"repro/{__version__}+engine.3"
+ENGINE_VERSION = f"repro/{__version__}+engine.4"
 
 _SPEC_KINDS: Dict[str, Type["ScenarioSpec"]] = {}
 

@@ -34,9 +34,9 @@ Memory layout
 -------------
 Trials are evaluated in chunks of ``trials_per_batch`` rows so peak memory
 stays bounded: the fault workload materialises a ``(chunk, robots)`` slice
-of the ``(robots, targets)`` arrival matrix, the offset workload a
-``(chunk, excursions)`` radius/prefix-time matrix.  See PERFORMANCE.md for
-the trade-off curve.
+of the ``(robots, targets)`` arrival matrix, the offset workload a few
+``(chunk,)`` vectors per target (its prefix times are in closed form).
+See PERFORMANCE.md for the trade-off curve.
 """
 
 from __future__ import annotations
@@ -678,13 +678,15 @@ class CyclicOffsetSchedule:
     whose first arrival at ``(ray, d)`` is *prefix time of the first
     excursion on that ray reaching d* plus ``d``.  Because all offsets
     share the same excursion index range, a whole vector of offsets is
-    evaluated as matrices: radii ``base**(n + U)`` (offsets x excursions),
-    prefix times as a row-wise cumulative sum (the same left-to-right
-    float64 accumulation as the scalar trajectory builder, so both paths
-    agree to the last few ulps), and the first-covering excursion per
-    (offset, target) via an exponent formula corrected against the actual
-    radius values — replicating the scalar path's ``distance - 1e-12``
-    coverage tolerance.
+    evaluated at once, with memory per chunk of offsets x targets.  The
+    first-covering excursion ``n0`` per (offset, target) comes from an
+    exponent formula, corrected against the actual radius values where
+    rounding could move it — replicating the scalar path's
+    ``distance - 1e-12`` coverage tolerance.  The prefix time before
+    ``n0`` is a geometric series in closed form,
+    ``2 (base**(n0 + U) - base**(start + U)) / (base - 1)``, computed as
+    ``base**U`` times a per-schedule table.  It agrees with the scalar
+    trajectory builder's left-to-right running clock to ~1e-14 relative.
     """
 
     num_rays: int
@@ -743,15 +745,15 @@ class CyclicOffsetSchedule:
         self, offsets: np.ndarray, targets: Sequence[Tuple[int, float]]
     ) -> np.ndarray:
         m, b = self.num_rays, self.base
-        n = self.indices
-        start = int(n[0])
-        # Radii and prefix times, (chunk, excursions).  The cumulative sum
-        # accumulates 2*radius left to right exactly like the scalar
-        # excursion builder's running clock.
-        radii = b ** (n[None, :] + offsets[:, None])
-        prefix = np.zeros_like(radii)
-        np.cumsum(2.0 * radii[:, :-1], axis=1, out=prefix[:, 1:])
+        start = int(self.indices[0])
         log_b = math.log(b)
+        # Excursion start + p begins after the geometric series
+        # 2 (b**(start + U) + ... + b**(start + p - 1 + U)), which is
+        # b**U times a per-schedule constant: one table entry per p, and
+        # inf past the last excursion.
+        powers = b ** self.indices.astype(float)
+        prefix = np.append(2.0 * (powers - powers[0]) / (b - 1.0), math.inf)
+        scale = b**offsets
         out = np.empty((offsets.size, len(targets)))
         for j, (ray, distance) in enumerate(targets):
             if distance <= _EPS:
@@ -759,22 +761,45 @@ class CyclicOffsetSchedule:
                 continue
             covered = distance - _EPS  # the scalar path's coverage tolerance
             # Smallest excursion index on the ray whose radius covers the
-            # target: guess from the exponent, then correct by comparing
-            # the actual (identically computed) radii.
-            guess = np.floor(math.log(covered) / log_b - offsets).astype(int)
-            n0 = guess + 1 + (ray - (guess + 1)) % m
+            # target: from the exponent, the first index on the ray above
+            # it (float arithmetic on exact small integers).
+            exponent = math.log(covered) / log_b - offsets
+            n0 = ray + m * np.ceil((np.floor(exponent) + (1 - ray)) / m)
             first_on_ray = start + (ray - start) % m
-            for _ in range(2):  # the log guess is off by at most one ulp-step
-                lower = n0 - m
-                step_down = (lower >= first_on_ray) & (b ** (lower + offsets) >= covered)
-                n0 = np.where(step_down, lower, n0)
-            for _ in range(2):
-                step_up = b ** (n0 + offsets) < covered
-                n0 = np.where(step_up, n0 + m, n0)
-            n0 = np.maximum(n0, first_on_ray)
-            piece = n0 - start
-            in_range = piece < n.size
-            piece = np.minimum(piece, n.size - 1)
-            arrivals = prefix[np.arange(offsets.size), piece] + distance
-            out[:, j] = np.where(in_range, arrivals, math.inf)
+            # The guess can be one excursion off only where the exponent
+            # sits within rounding of an integer; there, correct it against
+            # the radii themselves.
+            near = np.flatnonzero(np.abs(exponent - np.rint(exponent)) < _GUESS_SLACK)
+            for row in near.tolist():
+                n0[row] = _covering_index(
+                    float(n0[row]), float(offsets[row]), covered, b, m, first_on_ray
+                )
+            piece = np.maximum(n0, first_on_ray).astype(np.intp) - start
+            np.minimum(piece, self.indices.size, out=piece)
+            out[:, j] = scale * prefix[piece] + distance
         return out
+
+
+#: Distance (in exponent units) from an integer within which the exponent
+#: guess of :meth:`CyclicOffsetSchedule._arrival_chunk` is re-checked
+#: against the radii.  Rounding moves the exponent by ~1e-13 at most.
+_GUESS_SLACK = 1e-9
+
+
+def _covering_index(
+    n: float, offset: float, covered: float, b: float, m: int, first_on_ray: int
+) -> float:
+    """The first excursion index on ``n``'s ray whose radius covers ``covered``.
+
+    ``n`` is at most a step off.  The radii are Python's
+    ``b ** (n + offset)``, as the scalar sampler computes them: NumPy's
+    ``power`` can differ from it in the last bit, which decides a target
+    at exactly ``radius + 1e-12``.
+    """
+    for _ in range(2):
+        if n - m >= first_on_ray and b ** (n - m + offset) >= covered:
+            n -= m
+    for _ in range(2):
+        if b ** (n + offset) < covered:
+            n += m
+    return n

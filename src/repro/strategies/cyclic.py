@@ -27,7 +27,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..core.bounds import crash_ray_ratio
 from ..core.problem import Regime, SearchProblem, ray_problem
 from ..exceptions import InvalidProblemError, InvalidStrategyError
-from ..geometry.trajectory import Trajectory, excursion_trajectory
+from ..geometry import trajectory as trajectory_module
+from ..geometry.trajectory import Trajectory
 from .base import Strategy
 
 __all__ = ["CyclicStrategy", "geometric_radius_schedule"]
@@ -149,7 +150,12 @@ class CyclicStrategy(Strategy):
                 )
             previous_radius[robot] = radius
             per_robot[robot].append((ray, radius))
-        return [excursion_trajectory(schedule) for schedule in per_robot]
+        # Every pair is an ``(int ray, float radius)`` that :meth:`extension`
+        # checked positive: the schedules are already the memo keys.
+        return [
+            trajectory_module._excursion_trajectory(tuple(schedule))
+            for schedule in per_robot
+        ]
 
     def theoretical_ratio(self) -> Optional[float]:
         """Known only for the optimal geometric schedule (the Theorem 6 value)."""

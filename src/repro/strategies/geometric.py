@@ -46,7 +46,8 @@ from ..core.bounds import (
 )
 from ..core.problem import Regime, SearchProblem
 from ..exceptions import InvalidProblemError, InvalidStrategyError
-from ..geometry.trajectory import Trajectory, excursion_trajectory, zigzag_trajectory
+from ..geometry import trajectory as trajectory_module
+from ..geometry.trajectory import Trajectory, zigzag_trajectory
 from .base import Strategy
 
 __all__ = ["RoundRobinGeometricStrategy", "ZigzagGeometricLineStrategy"]
@@ -134,10 +135,19 @@ class RoundRobinGeometricStrategy(Strategy):
         ]
 
     def trajectories(self, horizon: float) -> List[Trajectory]:
-        return [
-            excursion_trajectory(self.excursion_schedule(robot, horizon))
-            for robot in range(self.problem.k)
-        ]
+        # Each schedule is already the memo key: ``(int ray, float radius)``
+        # pairs with rays in range and radii increasing from the first, so
+        # only that first radius needs checking (``alpha ** exponent`` can
+        # underflow to 0 for a very negative ``start_cycle``).
+        result = []
+        for robot in range(self.problem.k):
+            schedule = tuple(self.excursion_schedule(robot, horizon))
+            if schedule[0][1] <= 0.0:
+                raise InvalidStrategyError(
+                    f"excursion radius must be positive, got {schedule[0][1]}"
+                )
+            result.append(trajectory_module._excursion_trajectory(schedule))
+        return result
 
     def theoretical_ratio(self) -> float:
         """Worst-case ratio ``1 + 2 alpha^q / (alpha^k - 1)`` of this base.

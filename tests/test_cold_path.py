@@ -151,6 +151,26 @@ class TestTrajectoryMemo:
             if id(first) in served:
                 assert second is first
 
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            RoundRobinGeometricStrategy(ray_problem(3, 4, 1)),
+            RoundRobinGeometricStrategy(line_problem(3, 1), alpha=2.5),
+            CyclicStrategy(ray_problem(3, 2, 0)),
+        ],
+        ids=lambda s: s.name,
+    )
+    def test_strategies_hand_the_memo_validated_keys(self, recorded_builds, strategy):
+        # These strategies skip excursion_trajectory's normalisation: what
+        # they pass must be exactly the key it would have built.
+        strategy.trajectories(1e3)
+        keys = [args[0] for builder, args, _ in recorded_builds]
+        assert len(keys) == strategy.problem.k
+        for key in keys:
+            assert type(key) is tuple
+            assert trajectory_module._excursion_key(key) == key
+            assert {(type(ray), type(radius)) for ray, radius in key} == {(int, float)}
+
     def test_excursions_and_pairs_share_a_key(self):
         pairs = [(0, 0.5), (1, 1.25), (0, 3.0), (1, 7.5)]
         as_tuples = excursion_trajectory(pairs)
@@ -178,6 +198,10 @@ class TestTrajectoryMemo:
             lambda: excursion_trajectory([(-1, 1.0)]),
             lambda: zigzag_trajectory([1.0, 0.0, 4.0]),
             lambda: zigzag_trajectory([1.0, 2.0], final_leg=-3.0),
+            # alpha ** exponent underflows to a 0.0 first radius.
+            lambda: RoundRobinGeometricStrategy(
+                line_problem(1, 0), start_cycle=-600
+            ).trajectories(10.0),
         ],
     )
     def test_invalid_inputs_raise_on_every_call(self, build):
@@ -368,17 +392,14 @@ class TestColumnarReport:
 
 
 def _reference_spread_targets(rng, num_rays, horizon, count=32):
-    """The target sampler as written with ``rng.uniform``."""
-    targets = []
-    for _ in range(count):
-        exponent = rng.uniform(0.0, math.log10(max(horizon, 10.0)))
-        targets.append(
-            RayPoint(
-                ray=int(rng.integers(0, num_rays)),
-                distance=min(horizon, max(1.0, 10.0**exponent)),
-            )
-        )
-    return targets
+    """The target sampler as written with ``rng.uniform``: every exponent
+    first, then every ray."""
+    exponents = rng.uniform(0.0, math.log10(max(horizon, 10.0)), count)
+    rays = rng.integers(0, num_rays, count)
+    return [
+        RayPoint(ray=int(ray), distance=min(horizon, max(1.0, 10.0 ** float(exponent))))
+        for ray, exponent in zip(rays, exponents)
+    ]
 
 
 class TestSpreadTargets:

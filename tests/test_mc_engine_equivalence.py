@@ -25,7 +25,11 @@ from repro.faults.injection import (
     simulate_random_faults,
 )
 from repro.geometry.rays import RayPoint
-from repro.geometry.trajectory import excursion_trajectory, straight_trajectory
+from repro.geometry.trajectory import (
+    excursion_trajectory,
+    one_off_excursion_trajectory,
+    straight_trajectory,
+)
 from repro.simulation.monte_carlo import (
     CyclicOffsetSchedule,
     as_generator,
@@ -274,6 +278,113 @@ class TestOffsetWorkloadEquivalence:
         full = plan.arrival_times(offsets, targets, trials_per_batch=10_000)
         chunked = plan.arrival_times(offsets, targets, trials_per_batch=32)
         assert np.array_equal(full, chunked)
+
+
+class TestClosedFormEdgeCases:
+    """The closed-form prefix at the ends of the schedule, against the oracle."""
+
+    @staticmethod
+    def _oracle(strategy, horizon, offset, keep=None):
+        """The materialised trajectory of one offset (its first ``keep`` excursions)."""
+        excursions = strategy.sample(None, horizon=horizon, offset=float(offset)).excursions
+        return one_off_excursion_trajectory(excursions[:keep])
+
+    def test_target_covered_by_the_first_excursion(self):
+        strategy = RandomizedSingleRobotRayStrategy(3)
+        plan = strategy.schedule_plan(50.0)
+        start = int(plan.indices[0])
+        # Below the first radius base**(start + U) of every offset, on its ray.
+        ray, distance = start % 3, 0.5 * strategy.base**start
+        offsets = strategy.sample_offsets(40, seed=2)
+        batched = plan.arrival_times(offsets, [(ray, distance)])
+        # No excursion precedes the first one: the arrival is the distance.
+        assert batched[:, 0].tolist() == [distance] * offsets.size
+        for row, offset in enumerate(offsets):
+            _assert_close_or_both_inf(
+                batched[row, 0],
+                self._oracle(strategy, 50.0, offset).first_arrival_time(ray, distance),
+            )
+
+    def test_target_past_the_last_excursion_is_inf(self):
+        strategy = RandomizedSingleRobotRayStrategy(2)
+        horizon = 100.0
+        full = strategy.schedule_plan(horizon)
+        keep = full.indices.size - 4
+        plan = CyclicOffsetSchedule(
+            num_rays=2, base=full.base, horizon=horizon, indices=full.indices[:keep]
+        )
+        offsets = strategy.sample_offsets(60, seed=6)
+        targets = [(0, 90.0), (1, 99.0), (0, 0.5)]
+        batched = plan.arrival_times(offsets, targets)
+        # The truncated schedule leaves (0, 90) out of reach for some
+        # offsets only, and always reaches (0, 0.5).
+        assert np.isinf(batched[:, 0]).any() and np.isfinite(batched[:, 0]).any()
+        assert np.isfinite(batched[:, 2]).all()
+        for row, offset in enumerate(offsets):
+            trajectory = self._oracle(strategy, horizon, offset, keep)
+            for column, (ray, d) in enumerate(targets):
+                _assert_close_or_both_inf(
+                    batched[row, column], trajectory.first_arrival_time(ray, d),
+                    (offset, ray, d),
+                )
+
+    def test_target_at_the_origin_is_zero(self):
+        strategy = RandomizedSingleRobotRayStrategy(2)
+        plan = strategy.schedule_plan(20.0)
+        offsets = strategy.sample_offsets(20, seed=9)
+        targets = [(0, 0.0), (1, 1e-12), (0, 4e-13)]
+        batched = plan.arrival_times(offsets, targets)
+        assert not batched.any()
+        for row, offset in enumerate(offsets):
+            trajectory = self._oracle(strategy, 20.0, offset)
+            for column, (ray, d) in enumerate(targets):
+                _assert_close_or_both_inf(
+                    batched[row, column], trajectory.first_arrival_time(ray, d)
+                )
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_targets_on_the_radii(self, m):
+        # A target at an excursion's radius (to within the 1e-12 coverage
+        # tolerance) is where the exponent guess needs its correction.
+        strategy = RandomizedSingleRobotRayStrategy(m)
+        horizon = 500.0
+        plan = strategy.schedule_plan(horizon)
+        for offset in strategy.sample_offsets(8, seed=m):
+            targets = [
+                (int(n) % m, d)
+                for n in plan.indices
+                for radius in [strategy.base ** (int(n) + offset)]
+                for d in (radius - 1e-12, radius, radius + 1e-12)
+                if 1e-12 < d <= horizon
+            ]
+            batched = plan.arrival_times(np.array([offset]), targets)[0]
+            trajectory = self._oracle(strategy, horizon, offset)
+            for (ray, d), arrival in zip(targets, batched):
+                _assert_close_or_both_inf(
+                    arrival, trajectory.first_arrival_time(ray, d), (offset, ray, d)
+                )
+
+    def test_four_rays_at_horizon_1e6(self):
+        # Where base**p is largest.  Arrivals reach ~2e7, where one ulp is
+        # 3.7e-9, so the 1e-9 bound applies to the ratio arrival / distance
+        # that the estimators average (as in test_estimator_engines_agree).
+        strategy = RandomizedSingleRobotRayStrategy(4)
+        horizon = 1e6
+        plan = strategy.schedule_plan(horizon)
+        offsets = strategy.sample_offsets(40, seed=5)
+        targets = [
+            (ray, d) for ray in range(4) for d in (1.0, 3e2, 7.7e4, 5e5, 1e6)
+        ]
+        batched = plan.arrival_times(offsets, targets)
+        assert np.isfinite(batched).all()
+        for row, offset in enumerate(offsets):
+            trajectory = self._oracle(strategy, horizon, offset)
+            for column, (ray, d) in enumerate(targets):
+                _assert_close_or_both_inf(
+                    batched[row, column] / d,
+                    trajectory.first_arrival_time(ray, d) / d,
+                    (offset, ray, d),
+                )
 
 
 class TestCrossEngineSweep:

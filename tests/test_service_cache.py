@@ -286,6 +286,29 @@ class TestDiskGarbageCollection:
             key = SimulateSpec(num_robots=1, horizon=horizon).cache_key()
             assert fresh.get(key) is not None
 
+    @pytest.mark.parametrize("entry_point", ["gc_disk_cache", "repro cache gc"])
+    def test_gc_drops_entries_of_the_previous_engine(self, tmp_path, capsys, entry_point):
+        # Entries written before the closed-form offset prefix and the
+        # batched spread targets hold payloads the engine no longer computes.
+        from repro import __version__
+        from repro.cli import main
+        from repro.service.cache import ResultCache, gc_disk_cache
+        from repro.service.spec import ENGINE_VERSION, SimulateSpec
+
+        previous = f"repro/{__version__}+engine.3"
+        assert previous != ENGINE_VERSION
+        self._populate(tmp_path, previous, [50, 60])
+        self._populate(tmp_path, ENGINE_VERSION, [50])
+        if entry_point == "gc_disk_cache":
+            dropped = gc_disk_cache(str(tmp_path)).dropped
+        else:
+            assert main(["cache", "gc", "--cache-dir", str(tmp_path), "--json"]) == 0
+            dropped = json.loads(capsys.readouterr().out)["dropped"]
+        assert dropped == 2
+        assert len(list(tmp_path.glob("*.json"))) == 1
+        key = SimulateSpec(num_robots=1, horizon=50.0).cache_key()
+        assert ResultCache(disk_path=str(tmp_path)).get(key) is not None
+
     def test_gc_dry_run_deletes_nothing(self, tmp_path):
         from repro.service.cache import gc_disk_cache
 
