@@ -5,11 +5,13 @@ parameters, the paper predicts X, the simulator measures Y".  This module
 produces those rows once, so benches, tests and the CLI share a single
 implementation.
 
-Rows are independent of each other, so by default a sweep fans out over a
-process pool (one task per ``(m, k, f)`` triple or per strategy) and falls
-back to serial evaluation when multiprocessing is unavailable or the
-strategies do not pickle.  Pass ``max_workers=1`` to force serial
-evaluation — the row order and values are identical either way.
+A sweep evaluates its rows serially, in order.  Grids large enough to
+want parallelism go through :class:`repro.service.ScenarioScheduler`
+instead: :func:`repro.service.simulate_grid_specs` and
+:func:`repro.service.montecarlo_grid_specs` build spec lists whose batch
+reproduces :func:`sweep_optimal_strategies` and
+:func:`sweep_random_faults` bit for bit, on a process pool or remote
+workers.  :func:`make_row_pool` builds that scheduler's process pool.
 """
 
 from __future__ import annotations
@@ -17,12 +19,10 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.bounds import crash_ray_ratio
 from ..core.problem import ray_problem
@@ -32,12 +32,9 @@ from ..simulation.monte_carlo import SeedLike, spawn_seeds
 from ..strategies.base import Strategy
 from ..strategies.optimal import optimal_strategy
 
-_RowT = TypeVar("_RowT")
-
 __all__ = [
     "SweepRow",
     "StochasticSweepRow",
-    "map_rows",
     "make_row_pool",
     "suggest_shard_size",
     "sweep_optimal_strategies",
@@ -147,10 +144,9 @@ def interesting_grid(
 
 
 # ----------------------------------------------------------------------
-# Parallel fan-out
+# Rows
 # ----------------------------------------------------------------------
-def _optimal_row(args: Tuple[int, int, int, float, str]) -> SweepRow:
-    m, k, f, horizon, engine = args
+def _optimal_row(m: int, k: int, f: int, horizon: float, engine: str) -> SweepRow:
     problem = ray_problem(m, k, f)
     strategy = optimal_strategy(problem)
     result = evaluate_strategy(strategy, horizon, engine=engine)
@@ -165,8 +161,7 @@ def _optimal_row(args: Tuple[int, int, int, float, str]) -> SweepRow:
     )
 
 
-def _family_row(args: Tuple[Strategy, float, str]) -> SweepRow:
-    strategy, horizon, engine = args
+def _family_row(strategy: Strategy, horizon: float, engine: str) -> SweepRow:
     problem = strategy.problem
     result = evaluate_strategy(strategy, horizon, engine=engine)
     theoretical = strategy.theoretical_ratio()
@@ -181,8 +176,9 @@ def _family_row(args: Tuple[Strategy, float, str]) -> SweepRow:
     )
 
 
-def _stochastic_row(args: Tuple[int, int, int, float, int, int, str]) -> StochasticSweepRow:
-    m, k, f, horizon, num_trials, seed, engine = args
+def _stochastic_row(
+    m: int, k: int, f: int, horizon: float, num_trials: int, seed: int, engine: str
+) -> StochasticSweepRow:
     from ..faults.injection import simulate_random_faults
 
     problem = ray_problem(m, k, f)
@@ -216,10 +212,10 @@ def _resolve_workers(max_workers: Optional[int], num_tasks: int) -> int:
 
 
 def _pool_context():
-    """The multiprocessing start-method context :func:`map_rows` uses.
+    """The multiprocessing start-method context :func:`make_row_pool` uses.
 
     fork is the fastest start method but is unsafe once other threads are
-    alive (the HTTP service calls the fan-out from handler threads while
+    alive (the HTTP service builds its pool from handler threads while
     sibling threads run engine work — forked children would inherit held
     allocator/BLAS locks and can deadlock).  Prefer forkserver in that
     case.
@@ -235,14 +231,15 @@ def _pool_context():
 def make_row_pool(
     max_workers: Optional[int], num_tasks: int
 ) -> Optional[ProcessPoolExecutor]:
-    """A process pool configured exactly like :func:`map_rows`' internal one.
+    """A process pool of up to ``max_workers`` processes for ``num_tasks``.
 
-    For callers that dispatch many *small* work units over time (the
-    service's pull-based local slot) and would pay one pool spin-up per
-    :func:`map_rows` call otherwise.  Returns ``None`` when parallelism
-    would not pay (one worker, one task) or the pool cannot be built —
-    callers then run serially, matching :func:`map_rows`' degradation.
-    The caller owns the pool and must ``shutdown()`` it.
+    For callers that dispatch many *small* work units over time — the
+    service scheduler's pull-based local slot keeps one for its whole
+    lifetime.  Children start by fork, or by forkserver once other
+    threads are alive (see :func:`_pool_context`).  Returns ``None`` when
+    parallelism would not pay (one worker, one task) or the pool cannot
+    be built; callers then run serially.  The caller owns the pool and
+    must ``shutdown()`` it.
     """
     workers = _resolve_workers(max_workers, num_tasks)
     if workers <= 1:
@@ -251,32 +248,6 @@ def make_row_pool(
         return ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
     except OSError:
         return None
-
-
-def map_rows(
-    worker: Callable[[tuple], "_RowT"],
-    tasks: List[tuple],
-    max_workers: Optional[int] = None,
-) -> List["_RowT"]:
-    """Map ``worker`` over ``tasks``, in parallel when it pays off.
-
-    The process-pool fan-out of the sweep functions below; ``worker`` must
-    be a picklable top-level callable.  Row order always matches task
-    order.  Any pool-level failure (a worker machine without fork,
-    unpicklable strategies, a broken pool) degrades to the serial path
-    rather than surfacing an infrastructure error; pass ``max_workers=1``
-    to force serial evaluation.
-    """
-    workers = _resolve_workers(max_workers, len(tasks))
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context()
-            ) as pool:
-                return list(pool.map(worker, tasks))
-        except (pickle.PicklingError, AttributeError, TypeError, BrokenProcessPool, OSError):
-            pass
-    return [worker(task) for task in tasks]
 
 
 def suggest_shard_size(
@@ -302,34 +273,25 @@ def sweep_optimal_strategies(
     parameters: Iterable[Tuple[int, int, int]],
     horizon: float = 1e4,
     engine: str = DEFAULT_ENGINE,
-    max_workers: Optional[int] = None,
 ) -> List[SweepRow]:
     """Measure the optimal strategy for every ``(m, k, f)`` triple.
 
     The theoretical column is the tight bound ``A(m, k, f)``; the measured
     column is the exact finite-horizon supremum of the optimal strategy's
     ratio, which approaches the bound from below as the horizon grows.
-    Triples are evaluated in parallel across processes by default
-    (``max_workers=None`` uses one worker per CPU); pass ``max_workers=1``
-    for serial evaluation.
+    For a parallel run of the same rows, batch
+    :func:`repro.service.simulate_grid_specs` through a scheduler.
     """
-    tasks = [(m, k, f, horizon, engine) for m, k, f in parameters]
-    return map_rows(_optimal_row, tasks, max_workers)
+    return [_optimal_row(m, k, f, horizon, engine) for m, k, f in parameters]
 
 
 def sweep_strategy_family(
     strategies: Sequence[Strategy],
     horizon: float = 1e4,
     engine: str = DEFAULT_ENGINE,
-    max_workers: Optional[int] = None,
 ) -> List[SweepRow]:
-    """Measure an arbitrary family of strategies (baselines, ablations, ...).
-
-    Parallelised like :func:`sweep_optimal_strategies`; strategies that do
-    not pickle are evaluated serially in-process.
-    """
-    tasks = [(strategy, horizon, engine) for strategy in strategies]
-    return map_rows(_family_row, tasks, max_workers)
+    """Measure an arbitrary family of strategies (baselines, ablations, ...)."""
+    return [_family_row(strategy, horizon, engine) for strategy in strategies]
 
 
 def sweep_random_faults(
@@ -338,7 +300,6 @@ def sweep_random_faults(
     num_trials: int = 256,
     seed: SeedLike = 0,
     engine: str = DEFAULT_ENGINE,
-    max_workers: Optional[int] = None,
 ) -> List[StochasticSweepRow]:
     """Monte-Carlo fault-injection campaign for every ``(m, k, f)`` triple.
 
@@ -347,13 +308,13 @@ def sweep_random_faults(
     optimal strategy and summarises the trial statistics next to the
     adversarial reference.  Rows get independent child seeds derived from
     ``seed`` via :func:`repro.simulation.monte_carlo.spawn_seeds`, so the
-    sweep is reproducible row-by-row and independent of worker scheduling;
-    parallelised like :func:`sweep_optimal_strategies`.
+    sweep is reproducible row-by-row, and a scheduled batch of
+    :func:`repro.service.montecarlo_grid_specs` (same derivation) is
+    bit-identical to it whatever its sharding or worker count.
     """
     parameters = list(parameters)
     seeds = spawn_seeds(seed, len(parameters))
-    tasks = [
-        (m, k, f, horizon, num_trials, row_seed, engine)
+    return [
+        _stochastic_row(m, k, f, horizon, num_trials, row_seed, engine)
         for (m, k, f), row_seed in zip(parameters, seeds)
     ]
-    return map_rows(_stochastic_row, tasks, max_workers)

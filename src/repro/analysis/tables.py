@@ -182,11 +182,8 @@ def e4_theorem6_rays(
         title="Theorem 6: A(m, k, f) on m rays — closed form vs measured strategy",
         headers=["m", "k", "f", "A(m,k,f) paper", "measured", "relative gap"],
     )
-    # About 30 ms of work: serially, without the start-up of a process pool.
     for row in sweep_optimal_strategies(
-        interesting_grid(max_rays, max_robots, max_faulty),
-        horizon=horizon,
-        max_workers=1,
+        interesting_grid(max_rays, max_robots, max_faulty), horizon=horizon
     ):
         table.rows.append(
             [

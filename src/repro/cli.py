@@ -718,8 +718,8 @@ def _command_batch(args: argparse.Namespace) -> int:
         )
         if pool is not None and args.reprobe_interval > 0:
             # Long batches heal mid-run restarts: a worker that comes back
-            # is re-probed by the supervisor and the dispatch loop admits
-            # it a fresh dispatcher thread while shards remain queued.
+            # is re-probed by the supervisor and the dispatch loop gives
+            # it a slot again while shards remain queued.
             pool.start_supervisor(reprobe_interval=args.reprobe_interval)
         if args.stream:
             from .reporting import to_jsonable

@@ -12,21 +12,21 @@ as little engine work as possible:
 3. **Shard** — the remaining unique specs are split into shards, each
    shard's payloads stored into the cache — and journaled, when a journal
    is attached — the moment the shard completes;
-4. **Pull dispatch** — shards go onto one shared work queue and every
-   executor *pulls* the next shard when it is free: the local slot (the
-   scheduler's one process pool, built like the parameter sweeps' on the
-   first batch that needs it and reused by every later batch; serial when
-   one worker suffices or the pool breaks) plus, given a
-   :class:`~repro.service.remote.RemoteWorkerPool` (or worker URLs, which
-   the scheduler builds into a pool it closes itself), one
-   dispatcher thread per live remote ``repro serve`` worker.  A local-only
-   batch is the same loop with zero remote workers.  A slow or loaded
-   worker naturally takes fewer shards (backpressure-aware placement), a
-   worker that dies mid-batch is marked dead while the shard it held goes
-   back on the queue for another executor — the batch always completes —
+4. **Pull dispatch** — shards go into one ledger and every executor slot
+   *pulls* the next shard when it is free: the local slot (the
+   scheduler's one process pool — :func:`repro.analysis.sweep.make_row_pool`
+   — built on the first batch that needs it and reused by every later
+   batch; serial when one worker suffices or the pool breaks) plus, given
+   a :class:`~repro.service.remote.RemoteWorkerPool` (or worker URLs,
+   which the scheduler builds into a pool it closes itself), one thread
+   per live remote ``repro serve`` worker.  A local-only batch is the
+   same loop with zero remote slots.  A slow or loaded worker naturally
+   takes fewer shards (backpressure-aware placement).  A slot that fails
+   hands its shard back — a dead worker or a broken pool to the queue, a
+   rejecting worker to the local slot — so the batch always completes,
    and a worker revived mid-batch (by the pool's
    :class:`~repro.service.remote.WorkerSupervisor` or a concurrent batch's
-   refresh) is admitted back while shards remain.
+   refresh) gets a slot again while shards remain.
 
 Determinism: every stochastic spec carries its own explicit seed, so batch
 results are bit-identical to evaluating the specs serially, whatever the
@@ -74,7 +74,7 @@ import time
 import uuid
 import warnings
 from collections import OrderedDict, deque
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import (
@@ -134,7 +134,7 @@ MAX_RETAINED_JOBS = 256
 _PHASE_SPAN_MIN_SPECS = 16
 
 #: Request-level (4xx/malformed) rejections in a row after which a batch
-#: retires a worker's dispatcher thread for the rest of the batch.  The
+#: retires a worker's slot for the rest of the batch.  The
 #: worker stays alive (single rejections are shard-specific), but a worker
 #: rejecting everything must not claim the whole queue.
 _MAX_CONSECUTIVE_REJECTS = 3
@@ -469,54 +469,391 @@ class BatchJob:
 
 
 class _ShardQueue:
-    """Thread-safe pull queue of shard indices for one batch.
+    """The one shard ledger of a batch: each shard is waiting, held,
+    local-only or done.
 
-    ``pop`` hands work to whichever executor asks first — that is the
-    whole backpressure mechanism.  ``push_front`` returns the shard a
-    dying worker held so the next puller takes it immediately, preserving
-    approximate ordering.
+    :meth:`take` hands the next waiting shard to whichever slot asks first
+    — that is the whole backpressure mechanism — and the slot holds it
+    until :meth:`complete` or :meth:`hand_back` (its executor failed: the
+    shard goes to the front of the queue or, rejected by a worker, to the
+    local slot alone).  :meth:`fail` ends the batch early.  Every change
+    to the shared queue moves ``gauge`` (``repro_shard_queue_depth``), so
+    concurrent batches sum to the cluster-visible depth and a finished
+    batch nets to zero.
+    """
 
-    Given a ``gauge`` (``repro_shard_queue_depth``), every mutation moves
-    it by the delta, so concurrent batches sharing one metrics registry
-    sum to the cluster-visible queue depth and an emptied batch nets to
-    zero.
+    def __init__(self, num_shards: int, gauge: telemetry.Gauge) -> None:
+        self._waiting = deque(range(num_shards))
+        self._local_only: List[int] = []
+        self._undone = num_shards
+        self.error: Optional[BaseException] = None
+        # Plain critical sections take the lock itself; the condition over
+        # it is only for the local slot's wait and its wake-ups.
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
+        self._gauge = gauge
+        gauge.add(num_shards)
+
+    def depth(self) -> int:
+        """Shards waiting on the shared queue (local-only ones excluded)."""
+        return len(self._waiting)
+
+    def take(self, local: bool) -> Optional[int]:
+        """Hold the next shard for a slot; ``None`` when none is for it."""
+        with self._lock:
+            if self.error is not None:
+                return None
+            if local and self._local_only:
+                return self._local_only.pop()
+            if not self._waiting:
+                return None
+            index = self._waiting.popleft()
+        self._gauge.add(-1)
+        return index
+
+    def complete(self) -> None:
+        with self._lock:
+            self._undone -= 1
+            if not self._undone:  # all the local slot waits for here
+                self._cond.notify_all()
+
+    def hand_back(self, index: int, local_only: bool = False) -> None:
+        with self._lock:
+            if local_only:
+                self._local_only.append(index)
+            else:
+                self._waiting.appendleft(index)
+            self._cond.notify_all()
+        if not local_only:
+            self._gauge.add(1)
+
+    def fail(self, error: BaseException) -> None:
+        with self._lock:
+            if self.error is None:
+                self.error = error
+            self._cond.notify_all()
+
+    def wake(self, _future: object = None) -> None:
+        """Done-callback of local futures: re-check :meth:`wait_local`."""
+        with self._lock:
+            self._cond.notify_all()
+
+    def wait_local(self, can_take: bool, inflight: Iterable[Future]) -> bool:
+        """Block the local slot until a shard is there for it to take
+        (when ``can_take``), one of its ``inflight`` futures is done, or
+        the batch is over.  True once every shard is done; raises the
+        error of a failed batch."""
+        with self._cond:
+            self._cond.wait_for(
+                lambda: self.error is not None
+                or not self._undone
+                or (can_take and bool(self._waiting or self._local_only))
+                or any(future.done() for future in inflight)
+            )
+        if self.error is not None:
+            raise self.error
+        return not self._undone
+
+
+@dataclass(eq=False)
+class _RemoteSlot:
+    """One remote worker's slot: a thread pulling shards while any wait.
+
+    The thread exits when the queue is empty or the worker fails; the
+    local slot starts a fresh one if the worker is live while shards
+    wait.  Only that thread writes the counters.
+    """
+
+    worker: RemoteWorker
+    thread: Optional[threading.Thread] = None
+    rejects: int = 0  # 4xx in a row; the maximum retires it for the batch
+    specs: int = 0
+    failovers: int = 0
+
+
+class _SerialSlot:
+    """The local slot run in-process: each shard inline, on the calling
+    thread.  With one shard in flight at a time, the slot is itself the
+    (already done) future ``submit`` returns."""
+
+    executor = "local-serial"
+    capacity = 1
+    #: Nothing is a slot failure: an error in a shard is the batch's error.
+    failures: Tuple[type, ...] = ()
+
+    def submit(self, shard: Sequence[ScenarioSpec]) -> "_SerialSlot":
+        self.payloads = execute_shard(shard)
+        return self
+
+    @staticmethod
+    def done() -> bool:
+        return True
+
+    def result(self) -> list:
+        return self.payloads
+
+    @staticmethod
+    def collect(shard: Sequence[ScenarioSpec], payloads: list) -> list:
+        return payloads
+
+
+class _PoolSlot:
+    """The local slot over the scheduler's process pool: up to
+    ``capacity`` shards in flight."""
+
+    executor = "local-pool"
+    #: What a broken pool raises from ``submit`` or a future's result.
+    failures = (
+        pickle.PicklingError, AttributeError, TypeError, BrokenProcessPool, OSError
+    )
+
+    def __init__(self, pool: ProcessPoolExecutor, capacity: int) -> None:
+        self.pool = pool
+        self.capacity = capacity
+
+    def submit(self, shard: Sequence[ScenarioSpec]) -> "Future[tuple]":
+        try:
+            return self.pool.submit(execute_shard_timed, shard)
+        except RuntimeError as error:
+            # Broken, or shut down by close() while this batch ran:
+            # degrade the same way.
+            raise BrokenProcessPool(str(error)) from error
+
+    @staticmethod
+    def collect(shard: Sequence[ScenarioSpec], result: tuple) -> list:
+        """The shard's payloads, its timings and trial counts observed here.
+
+        ``execute_spec`` counts ``repro_mc_trials_total`` in whatever
+        process runs it, and a pool child's registry never reaches
+        ``/metrics``; the serving process counts those shards from their
+        payloads instead, with the same budget ``execute_spec`` uses.
+        """
+        payloads, seconds = result
+        observe_shard_seconds(shard, seconds)
+        for spec, payload in zip(shard, payloads):
+            if isinstance(spec, MonteCarloFaultsSpec):
+                fixed = spec.num_trials
+            elif isinstance(spec, MonteCarloRandomizedSpec):
+                fixed = spec.num_samples
+            else:
+                continue
+            budget = spec.max_trials if spec.max_trials is not None else fixed
+            _count_mc_trials(payload["trials_used"], budget)
+        return payloads
+
+
+class _Dispatch:
+    """One batch's shards, pulled through its slots until the ledger is done.
+
+    Each live remote worker has a slot whose thread runs :meth:`run_remote`;
+    the local slot — the scheduler's process pool or serial — runs
+    :meth:`run_local` on the thread that called ``run_batch``.  A local-only
+    batch is the same loop with no remote slots.  A slot failure follows
+    one rule: a dead worker or a broken pool hands its shards back to the
+    queue and the slot retires (the serial slot takes over from a pool),
+    while a worker's 4xx hands the shard to the local slot and retires
+    the worker's slot only after ``_MAX_CONSECUTIVE_REJECTS`` in a row.
     """
 
     def __init__(
         self,
-        indices: Iterable[int],
-        gauge: Optional[telemetry.Gauge] = None,
+        scheduler: "ScenarioScheduler",
+        shards: List[tuple],
+        workers: Optional[RemoteWorkerPool],
+        record: Callable[[int, Sequence[dict]], None],
+        batch_span,
     ) -> None:
-        self._items = deque(indices)
-        self._lock = threading.Lock()
-        self._gauge = gauge
-        if gauge is not None and self._items:
-            gauge.add(len(self._items))
+        self.scheduler = scheduler
+        self.shards = shards
+        self.workers = workers
+        self.record = record
+        self.batch_span = batch_span
+        self.ledger = _ShardQueue(len(shards), scheduler._queue_depth)
+        self.remote: Dict[RemoteWorker, _RemoteSlot] = {}
+        self.start = time.monotonic()
 
-    def pop(self) -> Optional[int]:
-        with self._lock:
-            item = self._items.popleft() if self._items else None
-        if item is not None and self._gauge is not None:
-            self._gauge.add(-1)
-        return item
+    def run(self, local: Union[_SerialSlot, _PoolSlot]) -> None:
+        workers = self.workers
+        if workers is not None:
+            workers.attach_queue_probe(self.ledger.depth)
+        try:
+            self.run_local(local)
+            for slot in self.remote.values():
+                slot.thread.join()
+        except BaseException as error:
+            self.ledger.fail(error)  # the remote slots stop pulling
+            raise
+        finally:
+            if workers is not None:
+                workers.detach_queue_probe(self.ledger.depth)
 
-    def push_front(self, index: int) -> None:
-        with self._lock:
-            self._items.appendleft(index)
-        if self._gauge is not None:
-            self._gauge.add(1)
+    def admit(self) -> None:
+        """Start a puller for each live worker that has none, while shards
+        wait — the batch's first workers and any revived mid-batch alike.
+        A slot retired for rejecting shards stays retired."""
+        if self.workers is None or not self.ledger.depth():
+            return
+        for worker in self.workers.live_workers():
+            slot = self.remote.setdefault(worker, _RemoteSlot(worker))
+            running = slot.thread is not None and slot.thread.is_alive()
+            if running or slot.rejects >= _MAX_CONSECUTIVE_REJECTS:
+                continue
+            slot.thread = threading.Thread(
+                target=self.run_remote, args=(slot,), name="repro-remote", daemon=True
+            )
+            slot.thread.start()
 
-    def depth(self) -> int:
-        with self._lock:
-            return len(self._items)
+    def complete(
+        self,
+        index: int,
+        payloads: list,
+        executor: str,
+        start: float,
+        taken: float,
+        worker: Optional[str] = None,
+    ) -> None:
+        """Shard ``index``, taken off the ledger at ``taken`` and run from
+        ``start``, landed: observe it, record it, mark it done.
 
-    def drain(self) -> List[int]:
-        with self._lock:
-            items = list(self._items)
-            self._items.clear()
-        if items and self._gauge is not None:
-            self._gauge.add(-len(items))
-        return items
+        Exactly one ``shard`` span per *successful* execution, parented
+        explicitly to the batch span (most land off the batch's thread);
+        failed remote attempts are ``failover`` spans, so a healthy
+        batch's shard-span count equals its shard count.
+        """
+        scheduler, span = self.scheduler, self.batch_span
+        duration = time.monotonic() - start
+        scheduler._shard_seconds[executor].observe(duration)
+        if span is not None and span.trace_id:
+            attrs = {
+                "shard": index,
+                "num_specs": len(self.shards[index]),
+                "executor": executor,
+            }
+            if worker is not None:
+                attrs["worker"] = worker
+            attrs["queue_wait_seconds"] = taken - self.start
+            if worker is not None:
+                attrs["serialize_seconds"] = start - taken
+            scheduler.tracer.record_span(
+                "shard", span.trace_id, start, duration, parent=span, attrs=attrs
+            )
+        self.record(index, payloads)
+        self.ledger.complete()
+
+    def run_remote(self, slot: _RemoteSlot) -> None:
+        """Pull shards for one worker until none wait or its slot retires."""
+        try:
+            while True:
+                index = self.ledger.take(local=False)
+                if index is None:
+                    return
+                shard = self.shards[index]
+                taken = time.monotonic()
+                shard_dicts = [spec.to_dict() for spec in shard]
+                start = time.monotonic()
+                try:
+                    payloads = slot.worker.evaluate_shard(shard_dicts)
+                except RemoteWorkerError as error:
+                    if self.fail_over(slot, index, error, start):
+                        return
+                    continue
+                slot.rejects = 0
+                slot.specs += len(shard)
+                self.workers.note_remote(len(shard))
+                self.complete(
+                    index, payloads, "remote", start, taken, worker=slot.worker.url
+                )
+        except BaseException as error:  # raised on the calling thread
+            self.ledger.fail(error)
+
+    def fail_over(
+        self, slot: _RemoteSlot, index: int, error: RemoteWorkerError, start: float
+    ) -> bool:
+        """The failure rule for a remote attempt; True retires the slot.
+
+        A worker that died — or was marked dead elsewhere, which
+        ``evaluate_shard`` refuses — hands the shard back to the queue.  A
+        4xx hands it to the local slot, which surfaces the real error if
+        there is one; since a rejection is far cheaper than an evaluation,
+        a worker rejecting *everything* would otherwise race the healthy
+        slots to the whole queue.
+        """
+        worker, scheduler, span = slot.worker, self.scheduler, self.batch_span
+        dead = bool(error.worker_dead or worker.alive is False)
+        self.workers.note_failover()
+        slot.failovers += 1
+        scheduler._failovers_total.inc()
+        if span is not None and span.trace_id:
+            scheduler.tracer.record_span(
+                "failover",
+                span.trace_id,
+                start,
+                time.monotonic() - start,
+                parent=span,
+                attrs={
+                    "shard": index,
+                    "worker": worker.url,
+                    "error": str(error),
+                    "worker_dead": dead,
+                },
+            )
+        if dead:
+            self.workers.mark_dead(worker, error)
+        else:
+            slot.rejects += 1
+        self.ledger.hand_back(index, local_only=not dead)
+        return dead or slot.rejects >= _MAX_CONSECUTIVE_REJECTS
+
+    def run_local(self, slot: Union[_SerialSlot, _PoolSlot]) -> None:
+        """Work the local slot until the ledger says every shard is done.
+
+        Up to ``capacity`` shards in flight, refilled as each lands, so
+        the slot competes with the remote slots instead of owning a fixed
+        share; with nothing to take it waits on the ledger, so a shard a
+        worker hands back late is still its to run.
+        """
+        ledger = self.ledger
+        inflight: Dict[Future, Tuple[int, float]] = {}
+        while True:
+            self.admit()
+            while len(inflight) < slot.capacity:
+                index = ledger.take(local=True)
+                if index is None:
+                    break
+                taken = time.monotonic()
+                try:
+                    future = slot.submit(self.shards[index])
+                except slot.failures:
+                    slot = self.retire(slot, inflight, index)
+                    continue
+                if not future.done():
+                    future.add_done_callback(ledger.wake)
+                inflight[future] = (index, taken)
+            landed = [future for future in inflight if future.done()]
+            if not landed:
+                if ledger.wait_local(len(inflight) < slot.capacity, inflight):
+                    return
+                continue
+            for future in landed:
+                index, taken = inflight.pop(future)
+                try:
+                    payloads = slot.collect(self.shards[index], future.result())
+                except slot.failures:
+                    slot = self.retire(slot, inflight, index)
+                    break
+                self.complete(index, payloads, slot.executor, taken, taken)
+
+    def retire(
+        self, slot: _PoolSlot, inflight: Dict[Future, Tuple[int, float]], index: int
+    ) -> _SerialSlot:
+        """A broken pool is never a batch error: shard ``index`` and the
+        others in flight go back on the queue (at worst repeated work), the
+        serial slot takes over, and the next batch builds a fresh pool."""
+        for held in [index] + [held for held, _taken in inflight.values()]:
+            self.ledger.hand_back(held)
+        inflight.clear()
+        self.scheduler._retire_pool(slot.pool)
+        return _SerialSlot()
 
 
 class ScenarioScheduler:
@@ -818,6 +1155,77 @@ class ScenarioScheduler:
         # spans are always recorded).
         trace_phases = len(specs) >= _PHASE_SPAN_MIN_SPECS
 
+        num_unique, payload_by_key, hit_keys, pending = self._consult_cache(
+            keys, specs, trace_phases
+        )
+
+        journal_id = _journal_job_id if self.journal is not None else None
+        if journal_id is not None and hit_keys:
+            # Cache hits are durably resolved for this job too: journaling
+            # them keeps the completion set equal to the job's key set at
+            # the end of an uninterrupted run.
+            self._journal_write(self.journal.record_completed, journal_id, hit_keys)
+
+        rows_lock = threading.Lock()
+
+        def publish(pairs: List[Tuple[str, dict]]) -> None:
+            # Serialised: concurrent remote slots never interleave
+            # inside the callback.
+            if on_rows is not None and pairs:
+                with rows_lock:
+                    on_rows(pairs)
+
+        publish([(key, payload_by_key[key]) for key in hit_keys])
+
+        num_executors = 1 + (len(pool) if pool is not None else 0)
+        with self.tracer.span("shard_build") if trace_phases else _NULL_SPAN as span:
+            # Key lists aligned shard-for-shard with ``shards``, so a
+            # completed shard can be cached + journaled immediately.
+            shards, shard_keys = _split_shards(
+                pending, shard_size, max_workers, num_executors
+            )
+            span.set_attr("num_shards", len(shards))
+
+        def record(index: int, payloads: Sequence[dict]) -> None:
+            # Called (possibly from a remote slot's thread) the moment shard
+            # ``index`` completes: its payloads join the batch's results and
+            # become durable — cache first, then the journal row that
+            # declares them recoverable — before they are published, so a
+            # crash can under-journal but never journal a key whose payload
+            # was not stored.
+            pairs = list(zip(shard_keys[index], payloads))
+            for key, payload in pairs:
+                self.cache.put(key, payload)
+                payload_by_key[key] = payload
+            if journal_id is not None:
+                self._journal_write(
+                    self.journal.record_completed, journal_id, shard_keys[index]
+                )
+            publish(pairs)
+
+        dispatch = self._dispatch(shards, pool, max_workers, record, batch_span)
+
+        return BatchResult(
+            results=tuple(payload_by_key[key] for key in keys),
+            num_scenarios=len(specs),
+            num_unique=num_unique,
+            cache_hits=len(hit_keys),
+            evaluated=len(pending),
+            num_shards=len(shards),
+            remote_evaluated=dispatch["remote_specs"],
+            failovers=dispatch["failovers"],
+            num_remote_workers=dispatch["num_workers"],
+        )
+
+    def _consult_cache(
+        self, keys: List[str], specs: List[ScenarioSpec], trace_phases: bool
+    ) -> Tuple[int, Dict[str, dict], List[str], List[Tuple[str, ScenarioSpec]]]:
+        """Dedup, then one cache lookup per unique key.
+
+        Returns ``(num_unique, payload_by_key, hit_keys, pending)``:
+        ``pending`` is the ``(key, spec)`` of every unique miss, in first
+        occurrence order.
+        """
         # Dedup: first occurrence of each key owns the evaluation.
         unique_keys: List[str] = []
         unique_specs: List[ScenarioSpec] = []
@@ -830,135 +1238,21 @@ class ScenarioScheduler:
                     unique_specs.append(spec)
             span.set_attr("num_unique", len(unique_keys))
 
-        # Cache consultation, one lookup per unique key.
         payload_by_key: Dict[str, dict] = {}
         pending: List[Tuple[str, ScenarioSpec]] = []
         hit_keys: List[str] = []
-        cache_hits = 0
         with self.tracer.span("cache_consult") if trace_phases else _NULL_SPAN as span:
             for key, spec in zip(unique_keys, unique_specs):
                 payload = self.cache.get(key)
                 if payload is not None:
                     payload_by_key[key] = payload
                     hit_keys.append(key)
-                    cache_hits += 1
                 else:
                     pending.append((key, spec))
-            span.set_attr("cache_hits", cache_hits)
-
-        journal_id = _journal_job_id if self.journal is not None else None
-        if journal_id is not None and hit_keys:
-            # Cache hits are durably resolved for this job too: journaling
-            # them keeps the completion set equal to the job's key set at
-            # the end of an uninterrupted run.
-            self._journal_write(self.journal.record_completed, journal_id, hit_keys)
-
-        rows_lock = threading.Lock()
-
-        def publish(pairs: List[Tuple[str, dict]]) -> None:
-            # Serialised: concurrent dispatcher threads never interleave
-            # inside the callback.
-            if on_rows is not None and pairs:
-                with rows_lock:
-                    on_rows(pairs)
-
-        publish([(key, payload_by_key[key]) for key in hit_keys])
-
-        num_executors = 1 + (len(pool) if pool is not None else 0)
-        with self.tracer.span("shard_build") if trace_phases else _NULL_SPAN as span:
-            shards = _split_shards(
-                [spec for _key, spec in pending], shard_size, max_workers, num_executors
-            )
-            # Key lists aligned shard-for-shard with ``shards`` (same
-            # slicing), so a completed shard can be cached + journaled
-            # immediately.
-            shard_keys: List[List[str]] = []
-            offset = 0
-            for shard in shards:
-                chunk = pending[offset : offset + len(shard)]
-                shard_keys.append([key for key, _spec in chunk])
-                offset += len(shard)
-            span.set_attr("num_shards", len(shards))
-
-        def record(index: int, payloads: Sequence[dict]) -> None:
-            # Called (possibly from a dispatcher thread) the moment shard
-            # ``index`` completes: its payloads become durable — cache
-            # first, then the journal row that declares them recoverable —
-            # before they are published, so a crash can under-journal but
-            # never journal a key whose payload was not stored.
-            pairs = list(zip(shard_keys[index], payloads))
-            for key, payload in pairs:
-                self.cache.put(key, payload)
-            if journal_id is not None:
-                self._journal_write(
-                    self.journal.record_completed, journal_id, shard_keys[index]
-                )
-            publish(pairs)
-
-        shard_payloads, dispatch = self._dispatch(
-            shards, pool, max_workers, record, batch_span
-        )
-        computed = [payload for shard in shard_payloads for payload in shard]
-        for (key, _spec), payload in zip(pending, computed):
-            payload_by_key[key] = payload
-
-        return BatchResult(
-            results=tuple(payload_by_key[key] for key in keys),
-            num_scenarios=len(specs),
-            num_unique=len(unique_keys),
-            cache_hits=cache_hits,
-            evaluated=len(pending),
-            num_shards=len(shards),
-            remote_evaluated=dispatch["remote_specs"],
-            failovers=dispatch["failovers"],
-            num_remote_workers=dispatch["num_workers"],
-        )
+            span.set_attr("cache_hits", len(hit_keys))
+        return len(unique_keys), payload_by_key, hit_keys, pending
 
     # ------------------------------------------------------------------
-    def _note_shard(
-        self,
-        batch_span,
-        index: int,
-        num_specs: int,
-        executor: str,
-        start: float,
-        worker: Optional[str] = None,
-        queue_wait: Optional[float] = None,
-        serialize_seconds: Optional[float] = None,
-    ) -> None:
-        """Record one executed shard: a metric observation plus a trace span.
-
-        Shard spans parent explicitly to the batch span because they are
-        recorded from dispatcher threads (or retroactively for pool
-        futures), where the thread-local implicit-parent stack is empty.
-        Exactly one ``shard`` span is recorded per *successful* execution;
-        failed remote attempts appear as ``failover`` spans instead, so a
-        healthy batch's shard-span count equals its shard count.
-        """
-        duration = time.monotonic() - start
-        self._shard_seconds[executor].observe(duration)
-        if batch_span is None or not batch_span.trace_id:
-            return
-        attrs: Dict[str, object] = {
-            "shard": index,
-            "num_specs": num_specs,
-            "executor": executor,
-        }
-        if worker is not None:
-            attrs["worker"] = worker
-        if queue_wait is not None:
-            attrs["queue_wait_seconds"] = queue_wait
-        if serialize_seconds is not None:
-            attrs["serialize_seconds"] = serialize_seconds
-        self.tracer.record_span(
-            "shard",
-            batch_span.trace_id,
-            start,
-            duration,
-            parent=batch_span,
-            attrs=attrs,
-        )
-
     def _dispatch(
         self,
         shards: List[tuple],
@@ -966,318 +1260,35 @@ class ScenarioScheduler:
         max_workers: Optional[int],
         record: Callable[[int, Sequence[dict]], None],
         batch_span=None,
-    ) -> Tuple[List[list], Dict[str, int]]:
-        """Pull-based dispatch of ``shards`` over the local pool and ``pool``.
+    ) -> Dict[str, int]:
+        """Pull-based dispatch of ``shards`` over the local slot and ``pool``
+        (see :class:`_Dispatch`); returns the batch's remote counters.
 
-        All shard indices go onto one shared :class:`_ShardQueue`.  One
-        dispatcher thread per live remote worker pulls the next index
-        whenever its worker is free, and the calling thread pulls for the
-        local process pool (submitting one shard per free process slot and
-        refilling as each completes — no round barrier; the pool is the
-        scheduler's, shared with concurrent batches and reused by later
-        ones), so placement follows each executor's actual throughput: a
-        slow or loaded worker simply pulls less often (backpressure-aware),
-        while results stay bit-identical because placement never changes
-        what a seeded spec computes.  ``record(index, payloads)`` fires once
-        per completed shard, from whichever thread finished it — the caller
-        uses it for cache/journal writes and row publication.
-        Local-only execution is this same loop with zero remote workers
-        (``pool`` is ``None``).
-
-        A worker that fails fatally is marked dead, its in-flight shard
-        goes back on the queue and its dispatcher thread exits; a
-        request-level 4xx leaves the worker in rotation and sends just
-        that shard to the local drain pass, which re-runs anything still
-        missing once the queue empties.  Conversely a worker that comes
-        *back* — revived by the pool's supervisor or a concurrent batch's
-        refresh — is admitted mid-batch: the local slot spawns it a fresh
-        dispatcher thread while work remains on the queue.  A broken
-        process pool puts its in-flight shards back on the queue, the local
-        slot goes serial for the rest of the batch, and the scheduler
-        retires the pool so the next batch builds a fresh one.
+        ``record(index, payloads)`` fires once per completed shard, from
+        whichever thread finished it — the caller uses it for cache and
+        journal writes and row publication.  Placement follows each slot's
+        actual throughput (a slow or loaded worker simply pulls less
+        often), while results stay bit-identical because placement never
+        changes what a seeded spec computes.
         """
         if not shards:
-            return [], {"remote_specs": 0, "failovers": 0, "num_workers": 0}
+            return {"remote_specs": 0, "failovers": 0, "num_workers": 0}
         live = pool.refresh() if pool is not None else []
-
-        dispatch_start = time.monotonic()
-        queue = _ShardQueue(range(len(shards)), gauge=self._queue_depth)
-        results: List[Optional[list]] = [None] * len(shards)
-        batch_counters = {"remote_specs": 0, "failovers": 0}
-        counters_lock = threading.Lock()
-        admit_lock = threading.Lock()
-        dispatching: set = set()
-        # Workers retired for rejecting too many shards in a row: still
-        # alive (4xx is request-level), but never re-admitted this batch —
-        # without this, maybe_admit would hand a reject-everything worker
-        # a fresh dispatcher as soon as its old one retired.
-        retired: set = set()
-        threads: List[threading.Thread] = []
-        worker_errors: List[BaseException] = []
-
-        def run_worker(worker: RemoteWorker) -> None:
-            # Pull until the queue is dry or this worker dies.  Death is a
-            # thread-local decision: a concurrent supervisor probe may
-            # resurrect worker.alive, but this dispatcher stays retired
-            # (re-admission spawns a fresh thread).
-            try:
-                consecutive_rejects = 0
-                while True:
-                    shard_index = queue.pop()
-                    if shard_index is None:
-                        return
-                    shard = shards[shard_index]
-                    queue_wait = time.monotonic() - dispatch_start
-                    serialize_start = time.monotonic()
-                    shard_dicts = [spec.to_dict() for spec in shard]
-                    attempt_start = time.monotonic()
-                    serialize_seconds = attempt_start - serialize_start
-                    try:
-                        payloads = worker.evaluate_shard(shard_dicts)
-                    except RemoteWorkerError as error:
-                        pool.note_failover()
-                        with counters_lock:
-                            batch_counters["failovers"] += 1
-                        self._failovers_total.inc()
-                        if batch_span is not None and batch_span.trace_id:
-                            self.tracer.record_span(
-                                "failover",
-                                batch_span.trace_id,
-                                attempt_start,
-                                time.monotonic() - attempt_start,
-                                parent=batch_span,
-                                attrs={
-                                    "shard": shard_index,
-                                    "worker": worker.url,
-                                    "error": str(error),
-                                    "worker_dead": bool(
-                                        error.worker_dead
-                                        or worker.alive is False
-                                    ),
-                                },
-                            )
-                        if error.worker_dead or worker.alive is False:
-                            # Fatal failure — or the worker was marked dead
-                            # externally (another batch, the supervisor)
-                            # and evaluate_shard refuses it.  Either way
-                            # this dispatcher retires instead of draining
-                            # the whole queue into the local fallback.
-                            pool.mark_dead(worker, error)
-                            # Hand the shard to the next free executor.
-                            queue.push_front(shard_index)
-                            return
-                        # 4xx: the worker is healthy but rejected this
-                        # shard — leave it for the local drain pass to
-                        # surface the real error.  A rejection round-trip
-                        # is far cheaper than an evaluation, so a worker
-                        # that rejects *everything* would race the healthy
-                        # executors to the queue and push the whole batch
-                        # into the serial drain; retire its dispatcher
-                        # (worker stays alive) after a few rejections in a
-                        # row.
-                        consecutive_rejects += 1
-                        if consecutive_rejects >= _MAX_CONSECUTIVE_REJECTS:
-                            with admit_lock:
-                                retired.add(id(worker))
-                            return
-                        continue
-                    consecutive_rejects = 0
-                    pool.note_remote(len(shard))
-                    with counters_lock:
-                        batch_counters["remote_specs"] += len(shard)
-                    results[shard_index] = payloads
-                    self._note_shard(
-                        batch_span,
-                        shard_index,
-                        len(shard),
-                        "remote",
-                        attempt_start,
-                        worker=worker.url,
-                        queue_wait=queue_wait,
-                        serialize_seconds=serialize_seconds,
-                    )
-                    record(shard_index, payloads)
-            except BaseException as error:  # surfaced after the joins
-                worker_errors.append(error)
-            finally:
-                with admit_lock:
-                    dispatching.discard(id(worker))
-
-        def spawn(worker: RemoteWorker) -> None:
-            # Only ever called from the calling thread (initial live set,
-            # then maybe_admit inside run_local), so `threads` needs no
-            # lock.
-            thread = threading.Thread(
-                target=run_worker,
-                args=(worker,),
-                name=f"repro-remote-{len(threads)}",
-                daemon=True,
-            )
-            threads.append(thread)
-            thread.start()
-
-        def maybe_admit() -> None:
-            # Mid-batch rejoin: a worker that flipped back to live gets a
-            # dispatcher thread while shards are still waiting.
-            if queue.depth() == 0:
-                return
-            for worker in pool.live_workers():
-                with admit_lock:
-                    if id(worker) in dispatching or id(worker) in retired:
-                        continue
-                    dispatching.add(id(worker))
-                spawn(worker)
-
+        # One worker or one shard runs in-process; anything else shares the
+        # scheduler's long-lived pool, at most `max_workers` shards at once
+        # (serial too when the pool cannot be built).
         requested = max_workers if max_workers is not None else (os.cpu_count() or 1)
-        # Same serial/parallel decision a per-batch pool used to make: one
-        # worker or one shard runs in-process, anything else shares the
-        # scheduler's long-lived pool, at most `local_slots` shards at once.
-        local_pool = (
-            self._local_pool() if requested > 1 and len(shards) > 1 else None
+        local_pool = self._local_pool() if requested > 1 and len(shards) > 1 else None
+        dispatch = _Dispatch(self, shards, pool, record, batch_span)
+        dispatch.run(
+            _SerialSlot()
+            if local_pool is None
+            else _PoolSlot(local_pool, min(requested, self._pool_size))
         )
-        local_slots = min(requested, self._pool_size) if local_pool is not None else 1
-        # Holder rather than a bare nonlocal: once the pool breaks, every
-        # later run_local pass (the drain loop reuses it) must go serial
-        # instead of re-raising on the same broken pool.
-        local_state = {"pool": local_pool}
-
-        def run_serial(admit: bool) -> None:
-            while True:
-                if admit:
-                    maybe_admit()
-                index = queue.pop()
-                if index is None:
-                    return
-                shard_start = time.monotonic()
-                results[index] = execute_shard(shards[index])
-                self._note_shard(
-                    batch_span,
-                    index,
-                    len(shards[index]),
-                    "local-serial",
-                    shard_start,
-                    queue_wait=shard_start - dispatch_start,
-                )
-                record(index, results[index])
-
-        def run_local(admit: bool) -> None:
-            # The local slot keeps one shard in flight per free process
-            # slot, refilling as each completes, so it competes with the
-            # remote workers for queue items instead of owning a fixed
-            # share.
-            pool_now = local_state["pool"]
-            if pool_now is None:
-                run_serial(admit)
-                return
-            inflight: Dict["Future[tuple]", int] = {}
-            submitted_at: Dict["Future[tuple]", float] = {}
-            try:
-                while True:
-                    if admit:
-                        maybe_admit()
-                    while len(inflight) < local_slots:
-                        index = queue.pop()
-                        if index is None:
-                            break
-                        try:
-                            future = pool_now.submit(execute_shard_timed, shards[index])
-                        except BaseException as error:
-                            # The popped index must never be lost: put it
-                            # back before the failure propagates to the
-                            # serial fallback below.
-                            queue.push_front(index)
-                            if isinstance(error, RuntimeError):
-                                # Broken, or shut down by close() while
-                                # this batch ran: degrade the same way.
-                                raise BrokenProcessPool(str(error)) from error
-                            raise
-                        inflight[future] = index
-                        submitted_at[future] = time.monotonic()
-                    if not inflight:
-                        return
-                    finished, _pending = wait(inflight, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        # Read the result before dropping the future from
-                        # inflight: if it raises (broken pool), the
-                        # fallback below still knows about this index.
-                        payloads, seconds = future.result()
-                        index = inflight.pop(future)
-                        results[index] = payloads
-                        observe_shard_seconds(shards[index], seconds)
-                        _count_pool_trials(shards[index], payloads)
-                        start = submitted_at.pop(future)
-                        self._note_shard(
-                            batch_span,
-                            index,
-                            len(shards[index]),
-                            "local-pool",
-                            start,
-                            queue_wait=start - dispatch_start,
-                        )
-                        record(index, results[index])
-            except (
-                pickle.PicklingError,
-                AttributeError,
-                TypeError,
-                BrokenProcessPool,
-                OSError,
-            ):
-                # Same degradation contract as map_rows: a broken pool
-                # falls back to serial, never surfaces as an
-                # infrastructure error.  Shards the pool may have dropped
-                # go back on the queue to be recomputed (deterministic, so
-                # at worst repeated work); this batch stays serial and the
-                # next one builds a fresh pool.
-                local_state["pool"] = None
-                self._retire_pool(pool_now)
-                for index in inflight.values():
-                    queue.push_front(index)
-                run_serial(admit)
-
-        admit = pool is not None
-        if pool is not None:
-            pool.attach_queue_probe(queue.depth)
-        try:
-            for worker in live:
-                with admit_lock:
-                    dispatching.add(id(worker))
-                spawn(worker)
-            # The calling thread works the local slot while remote shards
-            # are in flight.
-            run_local(admit)
-            while True:
-                for thread in threads:
-                    thread.join()
-                if worker_errors:
-                    raise worker_errors[0]  # propagate unexpected errors
-                # Anything still missing: shards requeued by a worker that
-                # died after the local slot finished, plus 4xx-rejected
-                # shards.  Drain them locally (no new admissions, so this
-                # terminates); payloads are bit-identical to what the
-                # worker would have returned.
-                missing = [
-                    index
-                    for index, payloads in enumerate(results)
-                    if payloads is None
-                ]
-                if not missing:
-                    break
-                # A worker that died after the local slot drained the
-                # queue left its requeued shard sitting there — and that
-                # same index is in `missing`.  Drop the residue before
-                # re-pushing so no shard runs twice (and record() never
-                # fires twice for one shard).
-                queue.drain()
-                for index in reversed(missing):
-                    queue.push_front(index)
-                run_local(admit=False)
-        finally:
-            if pool is not None:
-                pool.detach_queue_probe(queue.depth)
-
-        return results, {  # type: ignore[return-value]
-            "remote_specs": batch_counters["remote_specs"],
-            "failovers": batch_counters["failovers"],
+        remote = dispatch.remote.values()
+        return {
+            "remote_specs": sum(slot.specs for slot in remote),
+            "failovers": sum(slot.failovers for slot in remote),
             "num_workers": len(live),
         }
 
@@ -1479,48 +1490,33 @@ class ScenarioScheduler:
         return summary
 
 
-def _count_pool_trials(
-    shard: Sequence[ScenarioSpec], payloads: Sequence[dict]
-) -> None:
-    """Count a pool-computed shard's Monte-Carlo trials in this process.
-
-    ``execute_spec`` counts ``repro_mc_trials_total`` in whatever process
-    runs it, and a pool child's registry never reaches ``/metrics``; the
-    serving process counts those shards from their payloads instead, with
-    the same budget ``execute_spec`` uses.
-    """
-    for spec, payload in zip(shard, payloads):
-        if isinstance(spec, MonteCarloFaultsSpec):
-            fixed = spec.num_trials
-        elif isinstance(spec, MonteCarloRandomizedSpec):
-            fixed = spec.num_samples
-        else:
-            continue
-        budget = spec.max_trials if spec.max_trials is not None else fixed
-        _count_mc_trials(payload["trials_used"], budget)
-
-
 def _split_shards(
-    specs: Sequence[ScenarioSpec],
+    pending: Sequence[Tuple[str, ScenarioSpec]],
     shard_size: Optional[int],
     max_workers: Optional[int],
     num_executors: int = 1,
-) -> List[tuple]:
-    if not specs:
-        return []
+) -> Tuple[List[tuple], List[List[str]]]:
+    """Cut the ``(key, spec)`` misses into shards: the spec tuples, and
+    the key lists aligned with them."""
+    if not pending:
+        return [], []
     if shard_size is None:
         local_workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
         # Executors beyond the local pool (remote workers) each count once:
         # a remote shard is one HTTP round-trip whatever its size, and the
         # worker parallelises internally.
         shard_size = suggest_shard_size(
-            len(specs), max(1, local_workers) + max(0, num_executors - 1)
+            len(pending), max(1, local_workers) + max(0, num_executors - 1)
         )
     if shard_size < 1:
         raise InvalidProblemError(f"shard_size must be positive, got {shard_size}")
-    return [
-        tuple(specs[lo : lo + shard_size]) for lo in range(0, len(specs), shard_size)
+    chunks = [
+        pending[lo : lo + shard_size] for lo in range(0, len(pending), shard_size)
     ]
+    return (
+        [tuple(spec for _key, spec in chunk) for chunk in chunks],
+        [[key for key, _spec in chunk] for chunk in chunks],
+    )
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ pieces, composable but independently usable:
   durations, parent ids and per-span attributes, recorded per trace into a
   bounded ring buffer.  Spans nest implicitly within a thread (a span
   opened inside another becomes its child) and explicitly across threads
-  (``parent=``), which is how per-shard spans in dispatcher threads attach
+  (``parent=``), which is how per-shard spans on remote-slot threads attach
   to the batch span.  Exporters: :meth:`Tracer.span_tree` (the JSON served
   by ``GET /trace/<job_id>``) and :meth:`Tracer.chrome_trace` (Chrome
   ``trace_event`` JSON, loadable in ``chrome://tracing`` / Perfetto —
@@ -616,7 +616,7 @@ class Tracer:
         With no explicit ``trace_id``/``parent``, both are inherited from
         the innermost span open on *this thread* (implicit nesting); pass
         ``parent=`` to attach a span created on another thread — the
-        dispatcher threads do this to parent shard spans to the batch
+        scheduler's remote slots do this to parent shard spans to the batch
         span.  Returns a shared no-op span while telemetry is disabled.
         """
         if not _enabled:

@@ -3,14 +3,15 @@
 Both ``test_service_remote.py`` and ``test_service_recovery.py`` need
 misbehaving ``repro serve`` stand-ins; they live here once so a change to
 the ``/batch`` payload shape or the ``/healthz`` handshake is mirrored in
-one place.  :func:`local_shards_wait_for` scripts the interleaving of those
-doubles with the scheduler's own executor.
+one place.  :func:`local_shards_wait_for` and :func:`wait_until_parked`
+script the interleaving of those doubles with the scheduler's own executor.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -114,6 +115,62 @@ def local_shards_wait_for(event: threading.Event, timeout: float = 60.0):
         yield
     finally:
         scheduler_module.execute_shard = original
+
+
+def wait_until_parked(ident: int, timeout: float = 60.0) -> None:
+    """Return once the thread ``ident`` is blocked in a :mod:`threading` wait.
+
+    A scheduler's calling thread parks there — joining its remote
+    threads, or waiting on its shard ledger — only once its local slot has
+    nothing left to take.  Polls the thread's innermost frame; raises if
+    it has not parked within ``timeout`` seconds.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        frame = sys._current_frames().get(ident)
+        if (
+            frame is not None
+            and frame.f_code.co_filename == threading.__file__
+            and frame.f_code.co_name in ("wait", "join", "_wait_for_tstate_lock")
+        ):
+            return
+        if time.monotonic() > deadline:
+            raise AssertionError(f"thread never parked within {timeout} s")
+        time.sleep(0.001)
+
+
+class _HoldingHandler(WorkerDoubleHandler):
+    def do_POST(self):
+        server: "HoldingWorkerServer" = self.server
+        length = int(self.headers.get("Content-Length") or 0)
+        self.rfile.read(length)
+        with server._lock:
+            first = not server.holding.is_set()
+            server.holding.set()
+        if first:
+            try:
+                server.release()
+                server.released = True
+            except Exception as error:  # surfaced by the test
+                server.release_error = error
+        self._reply(server.status, {"error": "worker failed the held shard"})
+
+
+class HoldingWorkerServer(_WorkerDoubleServer):
+    """Healthy handshake; holds the first shard it is sent until
+    ``release()`` returns, then fails it with HTTP ``status`` (later
+    shards fail at once).  ``holding`` is set once a shard is held;
+    ``released`` is true once ``release()`` returned, else
+    ``release_error`` is what it raised.
+    """
+
+    def __init__(self, status: int, release):
+        self.status = int(status)
+        self.release = release
+        self.holding = threading.Event()
+        self.released = False
+        self.release_error = None
+        super().__init__(_HoldingHandler)
 
 
 class _RejectingHandler(WorkerDoubleHandler):

@@ -16,6 +16,7 @@ from repro.analysis.sweep import (
 from repro.analysis import tables
 from repro.core.bounds import crash_ray_ratio
 from repro.core.problem import line_problem, ray_problem
+from repro.service import ScenarioScheduler, montecarlo_grid_specs
 from repro.strategies.geometric import RoundRobinGeometricStrategy
 from repro.strategies.single_robot import DoublingLineStrategy
 
@@ -70,14 +71,43 @@ class TestSweeps:
             assert row.num_trials == 64
 
     def test_random_fault_sweep_deterministic_across_workers(self):
+        # A parallel grid runs through the scheduler's process pool; its
+        # rows are bit-identical to the serial sweep's.
         grid = [(2, 3, 1), (2, 5, 2), (3, 4, 1)]
-        serial = sweep_random_faults(
-            grid, horizon=120.0, num_trials=32, seed=0, max_workers=1
-        )
-        parallel = sweep_random_faults(
-            grid, horizon=120.0, num_trials=32, seed=0, max_workers=3
-        )
-        assert serial == parallel
+        serial = sweep_random_faults(grid, horizon=120.0, num_trials=32, seed=0)
+        scheduler = ScenarioScheduler()
+        try:
+            batch = scheduler.run_batch(
+                montecarlo_grid_specs(grid, horizon=120.0, num_trials=32, seed=0),
+                max_workers=3,
+                shard_size=1,
+            )
+        finally:
+            scheduler.close()
+        parallel = [
+            (
+                payload["spec"]["seed"],
+                payload["adversarial_ratio"],
+                payload["mean_ratio"],
+                payload["std_error"],
+                payload["quantile_95"],
+                payload["max_ratio"],
+                payload["num_trials"],
+            )
+            for payload in batch.results
+        ]
+        assert parallel == [
+            (
+                row.seed,
+                row.adversarial,
+                row.mean_ratio,
+                row.std_error,
+                row.quantile_95,
+                row.max_ratio,
+                row.num_trials,
+            )
+            for row in serial
+        ]
         # Per-row child seeds are distinct, so rows are independent streams.
         assert len({row.seed for row in serial}) == len(grid)
 

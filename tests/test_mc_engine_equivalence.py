@@ -393,10 +393,10 @@ class TestCrossEngineSweep:
 
         grid = [(2, 3, 1), (3, 4, 1)]
         scalar = sweep_random_faults(
-            grid, horizon=120.0, num_trials=48, seed=2, engine="scalar", max_workers=1
+            grid, horizon=120.0, num_trials=48, seed=2, engine="scalar"
         )
         vectorized = sweep_random_faults(
-            grid, horizon=120.0, num_trials=48, seed=2, engine="vectorized", max_workers=1
+            grid, horizon=120.0, num_trials=48, seed=2, engine="vectorized"
         )
         for a, b in zip(scalar, vectorized):
             assert a.seed == b.seed

@@ -567,8 +567,8 @@ class TestWorkerAutoRecovery:
     ):
         # The worker is dead at the batch's refresh; it comes back while
         # the queue still holds work (we flip `alive` exactly the way a
-        # supervisor probe would) and the dispatch loop must admit it a
-        # dispatcher thread mid-batch.  Scripted rather than timed: the
+        # supervisor probe would) and the dispatch loop must give it a
+        # slot mid-batch.  Scripted rather than timed: the
         # local slot revives the worker during its first shard, then holds
         # its second shard until the admitted worker has completed one.
         remote = RemoteWorker(worker.url)
@@ -618,10 +618,10 @@ class TestWorkerAutoRecovery:
 
     def test_reject_everything_worker_is_retired_not_queue_hog(self, worker):
         # A worker that 400s every shard stays alive (rejections are
-        # request-level), but its dispatcher must retire after a few
+        # request-level), but its slot must retire after a few
         # consecutive rejections — rejection round-trips are cheap, so an
         # unretired rejector would race the healthy executors to the queue
-        # and push the whole batch into the serial drain.
+        # and push the whole batch onto the local slot.
         rejecting = RejectingWorkerServer()
         thread = threading.Thread(target=rejecting.serve_forever, daemon=True)
         thread.start()

@@ -15,7 +15,12 @@ import urllib.request
 
 import pytest
 
-from service_helpers import FlakyWorkerServer, local_shards_wait_for
+from service_helpers import (
+    FlakyWorkerServer,
+    HoldingWorkerServer,
+    local_shards_wait_for,
+    wait_until_parked,
+)
 
 from repro.analysis.sweep import interesting_grid, sweep_random_faults
 from repro.service.remote import RemoteWorker, RemoteWorkerError, RemoteWorkerPool
@@ -26,6 +31,7 @@ from repro.service.scheduler import (
 )
 from repro.service.server import create_server
 from repro.service.spec import MonteCarloRandomizedSpec, SimulateSpec
+from repro.service.telemetry import MetricsRegistry
 
 GOLDEN_SIMULATE = SimulateSpec(num_rays=2, num_robots=1, num_faulty=0, horizon=200.0)
 GOLDEN_RANDOMIZED = MonteCarloRandomizedSpec(
@@ -129,9 +135,7 @@ class TestMultiWorkerBitIdentity:
 
     def test_montecarlo_grid_matches_serial_sweep_over_workers(self, workers):
         grid = [(2, 1, 0), (2, 3, 1), (3, 2, 0)]
-        rows = sweep_random_faults(
-            grid, horizon=100.0, num_trials=64, seed=11, max_workers=1
-        )
+        rows = sweep_random_faults(grid, horizon=100.0, num_trials=64, seed=11)
         batch = ScenarioScheduler(
             workers=[server.url for server in workers]
         ).run_batch(
@@ -242,6 +246,63 @@ class TestFailover:
             worker.evaluate_shard([{"kind": "quantum"}])
         assert excinfo.value.worker_dead is False
         assert worker.alive is True
+
+
+class TestFailureAfterQueueEmpties:
+    """A worker fails the last shard it holds only after the local slot
+    has run out of work: the shard must still run, exactly once."""
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    @pytest.mark.parametrize("status", [500, 400])
+    def test_late_failure_runs_the_shard_locally(self, status, max_workers):
+        # Scripted: the local slot's first landed shard waits until the
+        # worker holds one of its own; the worker holds it until the local
+        # slot has landed every other shard and parked with nothing left
+        # to take, then 500s (worker dead) or 400s (shard rejected).
+        specs = [
+            SimulateSpec(num_rays=2, num_robots=1, horizon=10.0 + 0.5 * i)
+            for i in range(8)
+        ]
+        serial = ScenarioScheduler().run_batch(specs, max_workers=1)
+        calling = threading.get_ident()
+        local_done = threading.Event()
+
+        def release():
+            assert local_done.wait(60), "local slot never ran out of work"
+            wait_until_parked(calling)
+
+        holding = HoldingWorkerServer(status, release)
+        thread = threading.Thread(target=holding.serve_forever, daemon=True)
+        thread.start()
+        keys = []
+
+        def on_rows(pairs):
+            if not keys:
+                assert holding.holding.wait(60), "worker never held a shard"
+            keys.extend(key for key, _payload in pairs)
+            if len(keys) == len(specs) - 1:
+                local_done.set()
+
+        metrics = MetricsRegistry()
+        pool = RemoteWorkerPool([RemoteWorker(holding.url, max_retries=0)])
+        scheduler = ScenarioScheduler(workers=pool, metrics=metrics)
+        try:
+            batch = scheduler.run_batch(
+                specs, max_workers=max_workers, shard_size=1, on_rows=on_rows
+            )
+        finally:
+            scheduler.close()
+            pool.close()
+            holding.shutdown()
+            holding.server_close()
+            thread.join(timeout=10)
+        assert holding.release_error is None and holding.released
+        assert list(batch.results) == list(serial.results)  # bit-identical
+        assert sorted(keys) == sorted(spec.cache_key() for spec in specs)
+        assert batch.failovers == 1
+        assert batch.remote_evaluated == 0
+        assert pool.workers[0].alive is (status < 500)
+        assert metrics.gauge("repro_shard_queue_depth").value == 0
 
 
 class TestAsyncJobs:

@@ -96,7 +96,7 @@ class TestBatchDedupAndCache:
 class TestBitIdenticalToSerialSweeps:
     def test_simulate_batch_matches_sweep_optimal_strategies(self):
         grid = interesting_grid(3, 4, 1)
-        rows = sweep_optimal_strategies(grid, horizon=150.0, max_workers=1)
+        rows = sweep_optimal_strategies(grid, horizon=150.0)
         batch = ScenarioScheduler().run_batch(
             simulate_grid_specs(grid, horizon=150.0), max_workers=2
         )
@@ -109,9 +109,7 @@ class TestBitIdenticalToSerialSweeps:
 
     def test_montecarlo_batch_matches_sweep_random_faults(self):
         grid = [(2, 1, 0), (2, 3, 1), (3, 2, 0)]
-        rows = sweep_random_faults(
-            grid, horizon=100.0, num_trials=64, seed=11, max_workers=1
-        )
+        rows = sweep_random_faults(grid, horizon=100.0, num_trials=64, seed=11)
         batch = ScenarioScheduler().run_batch(
             montecarlo_grid_specs(grid, horizon=100.0, num_trials=64, seed=11),
             max_workers=2,
