@@ -475,20 +475,38 @@ def e12_randomized_and_average_case(
     return table
 
 
-def all_experiments(fast: bool = True) -> List[ExperimentTable]:
-    """Every experiment table, with smaller horizons when ``fast`` is True."""
+#: Experiment id -> table generator, in E-number order.
+EXPERIMENTS: Dict[str, Callable[..., ExperimentTable]] = {
+    "E1": e1_theorem1_line,
+    "E2": e2_trivial_regimes,
+    "E3": e3_byzantine_bounds,
+    "E4": e4_theorem6_rays,
+    "E5": e5_parallel_rays,
+    "E6": e6_orc_covering,
+    "E7": e7_fractional,
+    "E8": e8_lemmas,
+    "E9": e9_classics,
+    "E10": e10_alpha_ablation,
+    "E11": e11_connections,
+    "E12": e12_randomized_and_average_case,
+}
+
+#: Experiments that run at their own fixed size, whatever the horizon.
+_FIXED_SIZE = frozenset({"E3", "E8", "E12"})
+
+
+def all_experiments(
+    fast: bool = True, only: Optional[str] = None
+) -> List[ExperimentTable]:
+    """Every experiment table, with smaller horizons when ``fast`` is True.
+
+    ``only`` (an id of :data:`EXPERIMENTS`) builds just that table, at the
+    horizon the full run would give it.
+    """
     horizon = 1e3 if fast else 1e4
     return [
-        e1_theorem1_line(horizon=horizon),
-        e2_trivial_regimes(horizon=horizon),
-        e3_byzantine_bounds(),
-        e4_theorem6_rays(horizon=horizon),
-        e5_parallel_rays(horizon=horizon),
-        e6_orc_covering(horizon=horizon),
-        e7_fractional(horizon=horizon),
-        e8_lemmas(),
-        e9_classics(horizon=horizon),
-        e10_alpha_ablation(horizon=horizon),
-        e11_connections(horizon=horizon),
-        e12_randomized_and_average_case(),
+        EXPERIMENTS[name]()
+        if name in _FIXED_SIZE
+        else EXPERIMENTS[name](horizon=horizon)
+        for name in (EXPERIMENTS if only is None else [only])
     ]

@@ -46,43 +46,30 @@ without writing any Python:
   ``trace_event`` JSON with ``--chrome`` for ``chrome://tracing`` /
   Perfetto.
 
-Every query subcommand accepts ``--json``, which emits exactly the payload
-the HTTP server returns for the equivalent scenario — scripts and the
-service share one serialisation path.
+``bounds``, ``simulate``, ``montecarlo`` and ``timeline`` build one
+scenario spec from their flags and evaluate it exactly as ``POST
+/evaluate`` does.  ``--json`` prints that payload; the default table is
+rendered from the same payload's fields, so the two outputs never
+disagree.  Bad input — flags a spec rejects, an unreadable or invalid
+batch or experiment file, an unreachable server for ``top``/``trace`` —
+prints one ``error: …`` line on stderr and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
+import os
 import sys
+import time
 from typing import List, Optional
 
-from .analysis import tables as experiment_tables
-from .core.bounds import crash_ray_ratio, optimal_geometric_base
-from .core.problem import ray_problem
+from .analysis.tables import EXPERIMENTS, all_experiments
 from .exceptions import ReproError
-from .geometry.rays import RayPoint
 from .reporting import format_value, render_experiment, render_json, render_table
-from .simulation.competitive import evaluate_strategy
-from .simulation.timeline import build_timeline
-from .strategies.optimal import optimal_strategy
 
 __all__ = ["main", "build_parser"]
-
-_EXPERIMENTS = {
-    "E1": experiment_tables.e1_theorem1_line,
-    "E2": experiment_tables.e2_trivial_regimes,
-    "E3": experiment_tables.e3_byzantine_bounds,
-    "E4": experiment_tables.e4_theorem6_rays,
-    "E5": experiment_tables.e5_parallel_rays,
-    "E6": experiment_tables.e6_orc_covering,
-    "E7": experiment_tables.e7_fractional,
-    "E8": experiment_tables.e8_lemmas,
-    "E9": experiment_tables.e9_classics,
-    "E10": experiment_tables.e10_alpha_ablation,
-    "E11": experiment_tables.e11_connections,
-    "E12": experiment_tables.e12_randomized_and_average_case,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiments_parser.add_argument(
         "--only",
-        choices=sorted(_EXPERIMENTS, key=lambda name: int(name[1:])),
+        choices=list(EXPERIMENTS),
         default=None,
         help="run a single experiment instead of all of them",
     )
@@ -428,20 +415,6 @@ def _add_worker_tuning_flags(subparser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_worker_pool(args: argparse.Namespace):
-    """Build a tuned RemoteWorkerPool from ``--workers`` (None without URLs)."""
-    urls = _parse_worker_urls(args.workers)
-    if not urls:
-        return None
-    from .service.remote import RemoteWorkerPool
-
-    return RemoteWorkerPool(
-        urls,
-        timeout=args.worker_timeout,
-        connect_timeout=args.worker_connect_timeout,
-    )
-
-
 def _parse_worker_urls(values) -> Optional[List[str]]:
     """Flatten repeated/comma-separated ``--workers`` values into URLs."""
     if not values:
@@ -450,202 +423,150 @@ def _parse_worker_urls(values) -> Optional[List[str]]:
     return [url for url in urls if url] or None
 
 
-def _print_spec_json(spec) -> int:
-    """Evaluate ``spec`` and print the HTTP-service payload for it."""
+def _query_spec(args: argparse.Namespace):
+    """The scenario spec a query subcommand's flags describe."""
+    from .service import spec
+
+    problem = dict(num_rays=args.rays)
+    if args.command != "montecarlo" or args.workload == "faults":
+        problem.update(num_robots=args.robots, num_faulty=args.faulty)
+    if args.command == "bounds":
+        return spec.BoundsSpec(**problem)
+    if args.command == "simulate":
+        return spec.SimulateSpec(**problem, horizon=args.horizon)
+    if args.command == "timeline":
+        return spec.TimelineSpec(
+            **problem,
+            target_ray=args.target_ray,
+            target_distance=args.target_distance,
+        )
+    campaign = dict(seed=args.seed, horizon=args.horizon, engine=args.engine)
+    if args.workload == "randomized":
+        return spec.MonteCarloRandomizedSpec(
+            **problem, num_samples=args.trials, **campaign
+        )
+    return spec.MonteCarloFaultsSpec(**problem, num_trials=args.trials, **campaign)
+
+
+def _bounds_table(payload: dict, args: argparse.Namespace) -> str:
+    lines = [
+        payload["problem"]["description"],
+        f"tight competitive ratio: {format_value(payload['ratio'])}",
+    ]
+    if "alpha_star" in payload:
+        alpha = format_value(payload["alpha_star"], 6)
+        lines.append(f"optimal geometric base alpha*: {alpha}")
+    return "\n".join(lines)
+
+
+def _described_table(payload: dict, rows: list) -> str:
+    """The payload's problem description over a quantity/value table."""
+    table = render_table(["quantity", "value"], rows)
+    return f"{payload['problem']['description']}\n{table}"
+
+
+def _simulate_table(payload: dict, args: argparse.Namespace) -> str:
+    worst = payload["worst_case"]["target"]
+    rows = [
+        ["strategy", payload["strategy_name"]],
+        ["horizon", payload["horizon"]],
+        ["theoretical ratio", payload["theoretical_ratio"]],
+        ["measured ratio", payload["ratio"]],
+        ["worst target ray", worst["ray"]],
+        ["worst target distance", worst["distance"]],
+        ["targets evaluated", payload["num_targets_evaluated"]],
+    ]
+    return _described_table(payload, rows)
+
+
+def _randomized_table(payload: dict, args: argparse.Namespace) -> str:
+    rows = [
+        ["workload", "randomized offset search"],
+        ["rays", payload["num_rays"]],
+        ["base", format_value(payload["base"], 6)],
+        ["samples", payload["num_samples"]],
+        ["closed-form expected ratio", format_value(payload["closed_form"], 6)],
+        ["monte-carlo estimate", format_value(payload["estimate"], 6)],
+        ["std error", format_value(payload["std_error"], 6)],
+        ["within 3 std errors", payload["within_3_std_errors"]],
+        ["engine", payload["engine"]],
+        ["seed", payload["seed"]],
+    ]
+    return render_table(["quantity", "value"], rows)
+
+
+def _faults_table(payload: dict, args: argparse.Namespace) -> str:
+    quantiles = dict(payload["statistics"]["quantiles"])
+    rows = [
+        ["workload", "random crash faults"],
+        ["strategy", payload["strategy_name"]],
+        ["trials", payload["num_trials"]],
+        ["adversarial ratio", payload["adversarial_ratio"]],
+        ["mean ratio", payload["mean_ratio"]],
+        ["std error", format_value(payload["std_error"], 6)],
+        ["median ratio", quantiles[0.5]],
+        ["95% quantile", quantiles[0.95]],
+        ["max ratio", payload["max_ratio"]],
+        ["slack vs adversary", payload["slack"]],
+        ["engine", payload["engine"]],
+        ["seed", payload["seed"]],
+    ]
+    return _described_table(payload, rows)
+
+
+def _timeline_table(payload: dict, args: argparse.Namespace) -> str:
+    from .simulation.timeline import Event
+
+    target = payload["target"]
+    events = [Event(**event).describe() for event in payload["events"]]
+    if len(events) > args.limit:
+        omitted = len(events) - args.limit
+        events = events[: args.limit] + [f"... ({omitted} more events)"]
+    return "\n".join(
+        [
+            payload["problem"]["description"],
+            f"target: ray {target['ray']}, distance "
+            f"{format_value(target['distance'])}",
+            *events,
+            f"detection time: {format_value(payload['detection_time'])}",
+        ]
+    )
+
+
+#: Payload kind -> its table; ``args`` only supplies ``--limit``.
+_QUERY_TABLES = {
+    "bounds": _bounds_table,
+    "simulate": _simulate_table,
+    "montecarlo_faults": _faults_table,
+    "montecarlo_randomized": _randomized_table,
+    "timeline": _timeline_table,
+}
+
+
+def _command_query(args: argparse.Namespace) -> int:
+    """``bounds``/``simulate``/``montecarlo``/``timeline``: one spec, one payload.
+
+    The payload is exactly what ``POST /evaluate`` returns for the spec;
+    ``--json`` prints it and the table is rendered from its fields only.
+    """
     from .service.execute import execute_spec
 
-    print(render_json(execute_spec(spec)))
-    return 0
-
-
-def _command_bounds(args: argparse.Namespace) -> int:
+    payload = execute_spec(_query_spec(args))
     if args.json:
-        from .service.spec import BoundsSpec
-
-        return _print_spec_json(
-            BoundsSpec(
-                num_rays=args.rays, num_robots=args.robots, num_faulty=args.faulty
-            )
-        )
-    problem = ray_problem(args.rays, args.robots, args.faulty)
-    ratio = crash_ray_ratio(args.rays, args.robots, args.faulty)
-    print(problem.describe())
-    print(f"tight competitive ratio: {format_value(ratio)}")
-    if problem.regime.value == "interesting":
-        alpha = optimal_geometric_base(args.rays, args.robots, args.faulty)
-        print(f"optimal geometric base alpha*: {format_value(alpha, 6)}")
-    return 0
-
-
-def _command_simulate(args: argparse.Namespace) -> int:
-    if args.json:
-        from .service.spec import SimulateSpec
-
-        return _print_spec_json(
-            SimulateSpec(
-                num_rays=args.rays,
-                num_robots=args.robots,
-                num_faulty=args.faulty,
-                horizon=args.horizon,
-            )
-        )
-    problem = ray_problem(args.rays, args.robots, args.faulty)
-    strategy = optimal_strategy(problem)
-    result = evaluate_strategy(strategy, args.horizon)
-    rows = [
-        ["strategy", strategy.name],
-        ["horizon", format_value(args.horizon)],
-        ["theoretical ratio", format_value(result.theoretical_ratio)],
-        ["measured ratio", format_value(result.ratio)],
-        ["worst target ray", result.worst_case.target.ray],
-        ["worst target distance", format_value(result.worst_case.target.distance)],
-        ["targets evaluated", result.num_targets_evaluated],
-    ]
-    print(problem.describe())
-    print(render_table(["quantity", "value"], rows))
+        print(render_json(payload))
+    else:
+        print(_QUERY_TABLES[payload["kind"]](payload, args))
     return 0
 
 
 def _command_experiments(args: argparse.Namespace) -> int:
-    if args.only is not None:
-        tables = [_EXPERIMENTS[args.only]()]
-    else:
-        tables = experiment_tables.all_experiments(fast=not args.full)
+    tables = all_experiments(fast=not args.full, only=args.only)
     if args.json:
-        print(
-            render_json(
-                [
-                    {
-                        "experiment_id": table.experiment_id,
-                        "title": table.title,
-                        "headers": table.headers,
-                        "rows": table.rows,
-                    }
-                    for table in tables
-                ]
-            )
-        )
+        print(render_json(tables))
         return 0
     for table in tables:
         print(render_experiment(table))
         print()
-    return 0
-
-
-def _command_montecarlo(args: argparse.Namespace) -> int:
-    if args.json:
-        from .service.spec import MonteCarloFaultsSpec, MonteCarloRandomizedSpec
-
-        if args.workload == "randomized":
-            spec = MonteCarloRandomizedSpec(
-                num_rays=args.rays,
-                num_samples=args.trials,
-                seed=args.seed,
-                horizon=args.horizon,
-                engine=args.engine,
-            )
-        else:
-            spec = MonteCarloFaultsSpec(
-                num_rays=args.rays,
-                num_robots=args.robots,
-                num_faulty=args.faulty,
-                num_trials=args.trials,
-                seed=args.seed,
-                horizon=args.horizon,
-                engine=args.engine,
-            )
-        return _print_spec_json(spec)
-    if args.workload == "randomized":
-        from .strategies.randomized import (
-            RandomizedSingleRobotRayStrategy,
-            monte_carlo_ratio_report,
-        )
-
-        from .service.spec import MonteCarloRandomizedSpec
-
-        strategy = RandomizedSingleRobotRayStrategy(args.rays)
-        # One definition of the default target pool: the spec's (so the
-        # table path and the --json/HTTP path evaluate identical targets).
-        targets = MonteCarloRandomizedSpec(
-            num_rays=args.rays, horizon=args.horizon
-        ).resolved_targets()
-        report = monte_carlo_ratio_report(
-            strategy,
-            targets,
-            num_samples=args.trials,
-            seed=args.seed,
-            horizon=args.horizon,
-            engine=args.engine,
-        )
-        rows = [
-            ["workload", "randomized offset search"],
-            ["rays", args.rays],
-            ["base", format_value(strategy.base, 6)],
-            ["samples", report.num_samples],
-            ["closed-form expected ratio", format_value(report.closed_form, 6)],
-            ["monte-carlo estimate", format_value(report.estimate, 6)],
-            ["std error", format_value(report.std_error, 6)],
-            ["within 3 std errors", report.within_standard_errors()],
-            ["engine", report.engine],
-            ["seed", args.seed],
-        ]
-        print(render_table(["quantity", "value"], rows))
-        return 0
-
-    from .faults.injection import simulate_random_faults
-
-    problem = ray_problem(args.rays, args.robots, args.faulty)
-    strategy = optimal_strategy(problem)
-    report = simulate_random_faults(
-        strategy,
-        args.horizon,
-        num_trials=args.trials,
-        seed=args.seed,
-        engine=args.engine,
-    )
-    statistics = report.statistics
-    rows = [
-        ["workload", "random crash faults"],
-        ["strategy", strategy.name],
-        ["trials", statistics.num_trials],
-        ["adversarial ratio", format_value(report.adversarial_ratio)],
-        ["mean ratio", format_value(statistics.mean)],
-        ["std error", format_value(statistics.std_error, 6)],
-        ["median ratio", format_value(statistics.quantile(0.5))],
-        ["95% quantile", format_value(statistics.quantile(0.95))],
-        ["max ratio", format_value(statistics.maximum)],
-        ["slack vs adversary", format_value(report.slack)],
-        ["engine", report.engine],
-        ["seed", args.seed],
-    ]
-    print(problem.describe())
-    print(render_table(["quantity", "value"], rows))
-    return 0
-
-
-def _command_timeline(args: argparse.Namespace) -> int:
-    if args.json:
-        from .service.spec import TimelineSpec
-
-        return _print_spec_json(
-            TimelineSpec(
-                num_rays=args.rays,
-                num_robots=args.robots,
-                num_faulty=args.faulty,
-                target_ray=args.target_ray,
-                target_distance=args.target_distance,
-            )
-        )
-    problem = ray_problem(args.rays, args.robots, args.faulty)
-    strategy = optimal_strategy(problem)
-    horizon = max(args.target_distance * 4.0, 10.0)
-    trajectories = strategy.trajectories(horizon)
-    target = RayPoint(ray=args.target_ray, distance=args.target_distance)
-    timeline = build_timeline(trajectories, target, problem)
-    print(problem.describe())
-    print(f"target: ray {target.ray}, distance {format_value(target.distance)}")
-    print(timeline.render(limit=args.limit))
-    print(f"detection time: {format_value(timeline.detection_time)}")
     return 0
 
 
@@ -682,33 +603,39 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_batch(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .service.cache import ResultCache
-    from .service.scheduler import ScenarioScheduler
-    from .service.spec import spec_from_dict
-
+def _read_json(path: str, what: str):
+    """Decode the JSON document at ``path`` (``-`` reads stdin)."""
     try:
-        if args.file == "-":
-            body = _json.load(sys.stdin)
-        else:
-            with open(args.file, "r", encoding="utf-8") as handle:
-                body = _json.load(handle)
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
     except (OSError, ValueError) as error:
-        print(f"error: cannot read scenarios from {args.file!r}: {error}",
-              file=sys.stderr)
-        return 2
-    if isinstance(body, dict):
-        body = body.get("scenarios")
-    if not isinstance(body, list) or not body:
-        print("error: expected a non-empty JSON list of scenario specs",
-              file=sys.stderr)
-        return 2
-    pool = _build_worker_pool(args)
-    scheduler = None
-    try:
-        specs = [spec_from_dict(item) for item in body]
+        raise ReproError(f"cannot read {what} from {path!r}: {error}") from error
+
+
+@contextlib.contextmanager
+def _scheduler(args: argparse.Namespace):
+    """A scheduler over ``--cache-dir``/``--cache-peers`` and ``--workers``.
+
+    The ``--workers`` pool gets the ``--worker-*`` timeouts and, unless
+    ``--reprobe-interval`` is 0, a supervisor.  Leaving the block closes
+    the scheduler (its process pool), then the worker pool.
+    """
+    from .service.cache import ResultCache
+    from .service.remote import RemoteWorkerPool
+    from .service.scheduler import ScenarioScheduler
+
+    with contextlib.ExitStack() as stack:
+        urls = _parse_worker_urls(args.workers)
+        pool = None
+        if urls:
+            pool = RemoteWorkerPool(
+                urls,
+                timeout=args.worker_timeout,
+                connect_timeout=args.worker_connect_timeout,
+            )
+            stack.callback(pool.close)
         scheduler = ScenarioScheduler(
             cache=ResultCache(
                 disk_path=args.cache_dir,
@@ -716,99 +643,73 @@ def _command_batch(args: argparse.Namespace) -> int:
             ),
             workers=pool,
         )
+        stack.callback(scheduler.close)
         if pool is not None and args.reprobe_interval > 0:
             # Long batches heal mid-run restarts: a worker that comes back
             # is re-probed by the supervisor and the dispatch loop gives
             # it a slot again while shards remain queued.
             pool.start_supervisor(reprobe_interval=args.reprobe_interval)
-        if args.stream:
-            from .reporting import to_jsonable
+        yield scheduler
 
-            job = scheduler.submit_job(
-                specs, max_workers=args.max_workers, shard_size=args.shard_size
-            )
-            for index, key, payload in job.iter_rows():
-                if args.json:
-                    print(
-                        _json.dumps(
-                            to_jsonable(
-                                {"index": index, "key": key, "result": payload}
-                            ),
-                            sort_keys=True,
-                            allow_nan=False,
-                        ),
-                        flush=True,
-                    )
-                else:
-                    print(
-                        f"row {index + 1}/{len(specs)} "
-                        f"kind {specs[index].kind} key {key[:12]}",
-                        flush=True,
-                    )
-            batch = job.result()
-        elif args.async_mode:
-            job = scheduler.submit_job(
-                specs, max_workers=args.max_workers, shard_size=args.shard_size
-            )
-            print(f"job {job.job_id} submitted ({len(specs)} scenarios)",
-                  file=sys.stderr)
-            while not job.wait(timeout=max(0.01, args.poll_interval)):
-                # ``total`` is the unique-scenario count once dedup has
-                # run; until then BatchJob.to_dict reports the submitted
-                # count, so the poll line is well-formed from the first
-                # tick.
-                snapshot = job.to_dict(include_results=False)["progress"]
-                print(
-                    f"job {job.job_id}: {snapshot['completed']}/"
-                    f"{snapshot['total']} unique scenarios",
-                    file=sys.stderr,
+
+def _command_batch(args: argparse.Namespace) -> int:
+    from .service.spec import spec_from_dict
+
+    body = _read_json(args.file, "scenarios")
+    if isinstance(body, dict):
+        body = body.get("scenarios")
+    if not isinstance(body, list) or not body:
+        raise ReproError("expected a non-empty JSON list of scenario specs")
+    try:
+        specs = [spec_from_dict(item) for item in body]
+        with _scheduler(args) as scheduler:
+            if args.stream or args.async_mode:
+                job = scheduler.submit_job(
+                    specs, max_workers=args.max_workers, shard_size=args.shard_size
                 )
-            batch = job.result()
-        else:
-            batch = scheduler.run_batch(
-                specs, max_workers=args.max_workers, shard_size=args.shard_size
-            )
+            if args.stream:
+                for index, key, payload in job.iter_rows():
+                    if args.json:
+                        row = {"index": index, "key": key, "result": payload}
+                        print(render_json(row, indent=None), flush=True)
+                    else:
+                        print(
+                            f"row {index + 1}/{len(specs)} "
+                            f"kind {specs[index].kind} key {key[:12]}",
+                            flush=True,
+                        )
+                batch = job.result()
+            elif args.async_mode:
+                print(f"job {job.job_id} submitted ({len(specs)} scenarios)",
+                      file=sys.stderr)
+                while not job.wait(timeout=max(0.01, args.poll_interval)):
+                    # ``total`` is the unique-scenario count once dedup has
+                    # run; until then BatchJob.to_dict reports the submitted
+                    # count, so the poll line is well-formed from the first
+                    # tick.
+                    snapshot = job.to_dict(include_results=False)["progress"]
+                    print(
+                        f"job {job.job_id}: {snapshot['completed']}/"
+                        f"{snapshot['total']} unique scenarios",
+                        file=sys.stderr,
+                    )
+                batch = job.result()
+            else:
+                batch = scheduler.run_batch(
+                    specs, max_workers=args.max_workers, shard_size=args.shard_size
+                )
     except ReproError as error:
-        print(f"error: invalid scenario or batch parameters: {error}",
-              file=sys.stderr)
-        return 2
-    finally:
-        if scheduler is not None:
-            scheduler.close()
-        if pool is not None:
-            pool.close()
-    if args.json:
-        if args.stream:
-            # Rows already went out as NDJSON lines; finish with one
-            # compact summary line instead of repeating the result list.
-            from .reporting import to_jsonable
-
-            print(
-                _json.dumps(
-                    to_jsonable(
-                        {
-                            "stats": batch.to_dict(),
-                            "cache": scheduler.cache.stats().to_dict(),
-                        }
-                    ),
-                    sort_keys=True,
-                    allow_nan=False,
-                )
-            )
-            return 0
-        print(
-            render_json(
-                {
-                    "results": list(batch.results),
-                    "stats": batch.to_dict(),
-                    "cache": scheduler.cache.stats().to_dict(),
-                }
-            )
-        )
-        return 0
-    stats = batch.to_dict()
-    stats.update(cache_hit_rate=scheduler.cache.stats().hit_rate)
-    print(render_table(["quantity", "value"], sorted(stats.items())))
+        raise ReproError(f"invalid scenario or batch parameters: {error}") from error
+    summary = {"stats": batch.to_dict(), "cache": scheduler.cache.stats().to_dict()}
+    if args.json and args.stream:
+        # Rows already went out as NDJSON lines; finish with one compact
+        # summary line instead of repeating the result list.
+        print(render_json(summary, indent=None))
+    elif args.json:
+        print(render_json(dict(summary, results=list(batch.results))))
+    else:
+        stats = dict(summary["stats"], cache_hit_rate=scheduler.cache.stats().hit_rate)
+        print(render_table(["quantity", "value"], sorted(stats.items())))
     return 0
 
 
@@ -820,9 +721,7 @@ def _command_cache(args: argparse.Namespace) -> int:
     # The subparser is required=True, so cache_command is always "gc" here;
     # the dispatch keeps room for future maintenance commands.
     if args.cache_dir is None and args.journal is None:
-        print("error: nothing to sweep — pass --cache-dir and/or --journal",
-              file=sys.stderr)
-        return 2
+        raise ReproError("nothing to sweep — pass --cache-dir and/or --journal")
     payload = {"engine_version": ENGINE_VERSION}
     if args.cache_dir is not None:
         report = gc_disk_cache(args.cache_dir, dry_run=args.dry_run)
@@ -847,107 +746,51 @@ def _command_cache(args: argparse.Namespace) -> int:
 
 
 def _command_experiment(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .experiment import Experiment
-    from .service.cache import ResultCache
-    from .service.scheduler import ScenarioScheduler
+    from .experiment import CsvRowStream, Experiment
 
     # experiment_command is required=True and currently only "run"; the
     # dispatch keeps room for future subcommands (diff, render, ...).
-    try:
-        if args.spec == "-":
-            body = _json.load(sys.stdin)
-        else:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                body = _json.load(handle)
-    except (OSError, ValueError) as error:
-        print(f"error: cannot read experiment spec from {args.spec!r}: {error}",
-              file=sys.stderr)
-        return 2
-    pool = _build_worker_pool(args)
-    scheduler = None
+    body = _read_json(args.spec, "experiment spec")
     try:
         plan = Experiment.from_spec(body).compile()
-        scheduler = ScenarioScheduler(
-            cache=ResultCache(
-                disk_path=args.cache_dir,
-                peers=_parse_worker_urls(args.cache_peers),
-            ),
-            workers=pool,
-        )
-        if pool is not None and args.reprobe_interval > 0:
-            pool.start_supervisor(reprobe_interval=args.reprobe_interval)
-        if args.stream:
-            import os as _os
-
-            from .experiment import CsvRowStream
-            from .reporting import to_jsonable
-
-            directory = plan.artifact_directory(args.output_dir)
-            _os.makedirs(directory, exist_ok=True)
-            csv_path = _os.path.join(directory, "table.csv")
-
-            def on_row(row):
-                stream.write(row)
-                if args.json:
-                    print(
-                        _json.dumps(
-                            {"row": to_jsonable(row)},
-                            sort_keys=True,
-                            allow_nan=False,
-                        ),
-                        flush=True,
-                    )
-                else:
-                    print(
-                        f"cell {row[0] + 1}/{len(plan.cells)} "
-                        f"{row[1]} × {row[2]} ({row[3]})",
-                        flush=True,
-                    )
-
-            with CsvRowStream(csv_path, plan.columns) as stream:
-                result = plan.run(
-                    scheduler=scheduler,
-                    max_workers=args.max_workers,
-                    shard_size=args.shard_size,
-                    on_row=on_row,
+        with _scheduler(args) as scheduler, contextlib.ExitStack() as stack:
+            on_row = None
+            if args.stream:
+                directory = plan.artifact_directory(args.output_dir)
+                os.makedirs(directory, exist_ok=True)
+                stream = stack.enter_context(
+                    CsvRowStream(os.path.join(directory, "table.csv"), plan.columns)
                 )
-        else:
+
+                def on_row(row):
+                    stream.write(row)
+                    if args.json:
+                        print(render_json({"row": row}, indent=None), flush=True)
+                    else:
+                        print(
+                            f"cell {row[0] + 1}/{len(plan.cells)} "
+                            f"{row[1]} × {row[2]} ({row[3]})",
+                            flush=True,
+                        )
+
             result = plan.run(
                 scheduler=scheduler,
                 max_workers=args.max_workers,
                 shard_size=args.shard_size,
+                on_row=on_row,
             )
     except ReproError as error:
-        print(f"error: invalid experiment spec: {error}", file=sys.stderr)
-        return 2
-    finally:
-        if scheduler is not None:
-            scheduler.close()
-        if pool is not None:
-            pool.close()
+        raise ReproError(f"invalid experiment spec: {error}") from error
     # persist() rewrites table.csv with the same bytes a streamed run
     # already wrote incrementally, plus table.json.
     paths = result.persist(args.output_dir)
     if args.json:
+        payload = dict(result.to_dict(), artifacts=paths)
         if args.stream:
-            from .reporting import to_jsonable
-
-            summary = {
-                key: value
-                for key, value in result.to_dict().items()
-                if key != "rows"
-            }
-            print(
-                _json.dumps(
-                    to_jsonable(dict(summary, artifacts=paths)),
-                    sort_keys=True,
-                    allow_nan=False,
-                )
-            )
-            return 0
-        print(render_json(dict(result.to_dict(), artifacts=paths)))
+            del payload["rows"]
+            print(render_json(payload, indent=None))
+        else:
+            print(render_json(payload))
         return 0
     print(f"experiment {plan.name} ({len(plan.cells)} cells, "
           f"hash {plan.content_hash()[:12]})")
@@ -962,11 +805,10 @@ def _command_experiment(args: argparse.Namespace) -> int:
 
 def _http_get_json(url: str, timeout: float = 10.0):
     """GET ``url`` and decode the JSON body (stdlib only, like the service)."""
-    import json as _json
     from urllib.request import urlopen
 
     with urlopen(url, timeout=timeout) as response:
-        return _json.loads(response.read().decode("utf-8"))
+        return json.loads(response.read().decode("utf-8"))
 
 
 def _series_label(entry: dict) -> str:
@@ -1018,9 +860,7 @@ def render_top(
     since = snapshot.get("since")
     header = "repro top"
     if isinstance(since, (int, float)) and since > 0:
-        import time as _time
-
-        header += f" — server up {max(0.0, _time.time() - since):.0f}s"
+        header += f" — server up {max(0.0, time.time() - since):.0f}s"
     if previous is not None and elapsed is not None and elapsed > 0:
         now_total = _scenario_count(snapshot)
         prev_total = _scenario_count(previous)
@@ -1116,28 +956,25 @@ def _command_top(args: argparse.Namespace) -> int:
     try:
         snapshot, workers = fetch()
     except (OSError, ValueError) as error:
-        print(f"error: cannot scrape {base}: {error}", file=sys.stderr)
-        return 2
+        raise ReproError(f"cannot scrape {base}: {error}") from error
     if args.json:
         print(render_json({"metrics": snapshot, "workers": workers}))
         return 0
     print(render_top(snapshot, workers))
     if args.once:
         return 0
-    import time as _time
-
     # args.interval is validated at parse time (>= 0.1), so the loop
     # sleeps exactly what was asked instead of silently clamping.
-    previous, previous_at = snapshot, _time.monotonic()
+    previous, previous_at = snapshot, time.monotonic()
     try:
         while True:
-            _time.sleep(args.interval)
+            time.sleep(args.interval)
             try:
                 snapshot, workers = fetch()
             except (OSError, ValueError) as error:
                 print(f"(scrape failed, retrying: {error})", file=sys.stderr)
                 continue
-            now = _time.monotonic()
+            now = time.monotonic()
             # Clear + home, like watch(1), so the frame repaints in place.
             print("\x1b[2J\x1b[H", end="")
             print(
@@ -1173,11 +1010,9 @@ def _command_trace(args: argparse.Namespace) -> int:
             return 0
         tree = _http_get_json(f"{base}/trace/{args.job_id}")
     except (OSError, ValueError) as error:
-        print(
-            f"error: cannot fetch trace {args.job_id!r} from {base}: {error}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ReproError(
+            f"cannot fetch trace {args.job_id!r} from {base}: {error}"
+        ) from error
     if args.json:
         print(render_json(tree))
         return 0
@@ -1190,11 +1025,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
-        "bounds": _command_bounds,
-        "simulate": _command_simulate,
+        "bounds": _command_query,
+        "simulate": _command_query,
         "experiments": _command_experiments,
-        "montecarlo": _command_montecarlo,
-        "timeline": _command_timeline,
+        "montecarlo": _command_query,
+        "timeline": _command_query,
         "serve": _command_serve,
         "batch": _command_batch,
         "cache": _command_cache,
@@ -1202,7 +1037,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "top": _command_top,
         "trace": _command_trace,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -50,7 +50,7 @@ __all__ = [
     "execute_shard_timed",
     "executor_for",
     "executor_kinds",
-    "observe_shard_seconds",
+    "observe_pool_shard",
 ]
 
 _HANDLERS: Dict[str, Callable[[ScenarioSpec], dict]] = {}
@@ -211,15 +211,23 @@ def _execute_family(spec: FamilySpec) -> dict:
 _MC_TRIALS: dict = {}
 
 
-def _count_mc_trials(trials_used: int, budget: int) -> None:
+def _count_mc_trials(spec, trials_used: int) -> None:
     """Account a finished Monte-Carlo run against the trials counter.
 
     ``used`` is what was actually evaluated; ``saved`` is the head-room an
-    adaptive run left in its budget (0 for fixed-count runs) — the two
-    series together quantify what sequential estimation buys.
+    adaptive run left in its budget (``max_trials`` when set, else the
+    fixed trial count, so 0 for fixed-count runs) — the two series
+    together quantify what sequential estimation buys.
     """
     from .telemetry import METRICS
 
+    budget = spec.max_trials
+    if budget is None:
+        budget = (
+            spec.num_samples
+            if isinstance(spec, MonteCarloRandomizedSpec)
+            else spec.num_trials
+        )
     for outcome, amount in (
         ("used", trials_used),
         ("saved", max(0, budget - trials_used)),
@@ -291,10 +299,7 @@ def _execute_montecarlo_faults(spec: MonteCarloFaultsSpec) -> dict:
         on_chunk=_chunk_span_recorder(spec.kind),
     )
     payload = report.to_dict()
-    _count_mc_trials(
-        payload["trials_used"],
-        spec.max_trials if spec.max_trials is not None else spec.num_trials,
-    )
+    _count_mc_trials(spec, payload["trials_used"])
     payload.update(
         {
             "problem": _problem_payload(problem),
@@ -327,10 +332,7 @@ def _execute_montecarlo_randomized(spec: MonteCarloRandomizedSpec) -> dict:
         on_chunk=_chunk_span_recorder(spec.kind),
     )
     payload = report.to_dict()
-    _count_mc_trials(
-        payload["trials_used"],
-        spec.max_trials if spec.max_trials is not None else spec.num_samples,
-    )
+    _count_mc_trials(spec, payload["trials_used"])
     payload.update(
         {
             "num_rays": spec.num_rays,
@@ -546,8 +548,8 @@ def execute_shard_timed(shard) -> Tuple[list, list]:
     """:func:`execute_shard` for a process pool: payloads plus per-spec seconds.
 
     Nothing is observed here; the dispatching process records the seconds
-    with :func:`observe_shard_seconds`, so each evaluation lands in exactly
-    one ``GET /metrics``.
+    and trials with :func:`observe_pool_shard`, so each evaluation lands in
+    exactly one ``GET /metrics``.
     """
     payloads, seconds = [], []
     for spec in shard:
@@ -557,7 +559,18 @@ def execute_shard_timed(shard) -> Tuple[list, list]:
     return payloads, seconds
 
 
-def observe_shard_seconds(shard, seconds: Iterable[float]) -> None:
-    """Record a pool-computed shard's evaluation times in this process."""
-    for spec, elapsed in zip(shard, seconds):
+def observe_pool_shard(shard, result: Tuple[list, list]) -> list:
+    """Record a pool-computed shard in this process; return its payloads.
+
+    ``result`` is what :func:`execute_shard_timed` returned in the pool
+    child.  A child's registry never reaches ``GET /metrics``, so the
+    dispatching process observes each evaluation's seconds and counts
+    each Monte-Carlo payload's trials here, exactly as
+    :func:`execute_spec` would have in-process.
+    """
+    payloads, seconds = result
+    for spec, payload, elapsed in zip(shard, payloads, seconds):
         _observe_execute_seconds(spec.kind, elapsed)
+        if isinstance(spec, (MonteCarloFaultsSpec, MonteCarloRandomizedSpec)):
+            _count_mc_trials(spec, payload["trials_used"])
+    return payloads

@@ -96,12 +96,11 @@ from ..simulation.monte_carlo import SeedLike, spawn_seeds
 from . import telemetry
 from .cache import ResultCache
 from .execute import (
-    _count_mc_trials,
     ensure_executable,
     execute_shard,
     execute_shard_timed,
     execute_spec,
-    observe_shard_seconds,
+    observe_pool_shard,
 )
 from .journal import JobJournal
 from .remote import RemoteWorker, RemoteWorkerError, RemoteWorkerPool
@@ -109,7 +108,6 @@ from .telemetry import _NULL_SPAN, MetricsRegistry, Tracer
 from .spec import (
     ENGINE_VERSION,
     MonteCarloFaultsSpec,
-    MonteCarloRandomizedSpec,
     ScenarioSpec,
     SimulateSpec,
     spec_from_dict,
@@ -619,27 +617,8 @@ class _PoolSlot:
             # degrade the same way.
             raise BrokenProcessPool(str(error)) from error
 
-    @staticmethod
-    def collect(shard: Sequence[ScenarioSpec], result: tuple) -> list:
-        """The shard's payloads, its timings and trial counts observed here.
-
-        ``execute_spec`` counts ``repro_mc_trials_total`` in whatever
-        process runs it, and a pool child's registry never reaches
-        ``/metrics``; the serving process counts those shards from their
-        payloads instead, with the same budget ``execute_spec`` uses.
-        """
-        payloads, seconds = result
-        observe_shard_seconds(shard, seconds)
-        for spec, payload in zip(shard, payloads):
-            if isinstance(spec, MonteCarloFaultsSpec):
-                fixed = spec.num_trials
-            elif isinstance(spec, MonteCarloRandomizedSpec):
-                fixed = spec.num_samples
-            else:
-                continue
-            budget = spec.max_trials if spec.max_trials is not None else fixed
-            _count_mc_trials(payload["trials_used"], budget)
-        return payloads
+    #: The shard's payloads, its timings and trial counts observed here.
+    collect = staticmethod(observe_pool_shard)
 
 
 class _Dispatch:

@@ -129,7 +129,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .. import __version__
 from ..exceptions import ReproError
-from ..reporting import to_jsonable
+from ..reporting import render_json
 from . import telemetry
 from .cache import _KEY_CHARS, ResultCache
 from .execute import ensure_executable, executor_for
@@ -257,7 +257,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         """Send ``payload`` as strict JSON."""
         self._send_text(
             status,
-            json.dumps(to_jsonable(payload), sort_keys=True, allow_nan=False),
+            render_json(payload, indent=None),
             "application/json",
         )
 
@@ -516,7 +516,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return
 
         def emit(index: Optional[int], event: str, payload: dict) -> None:
-            data = json.dumps(to_jsonable(payload), sort_keys=True, allow_nan=False)
+            data = render_json(payload, indent=None)
             head = f"id: {index}\n" if index is not None else ""
             self.wfile.write(
                 f"{head}event: {event}\ndata: {data}\n\n".encode("utf-8")

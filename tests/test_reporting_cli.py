@@ -409,6 +409,40 @@ class TestCliCommands:
         assert "detection time" in output
         assert "confirm" in output
 
+    @pytest.mark.parametrize("full", [False, True])
+    def test_experiments_only_follows_full(self, full, capsys):
+        """``--only EX`` builds the table a whole run would, at its horizon."""
+        flags = ["--full"] if full else []
+        assert main(["experiments", "--json", *flags]) == 0
+        every = {table["experiment_id"]: table for table in
+                 json.loads(capsys.readouterr().out)}
+        assert main(["experiments", "--only", "E1", "--json", *flags]) == 0
+        (only,) = json.loads(capsys.readouterr().out)
+        assert only["rows"] == every["E1"]["rows"]
+
+
+class TestQueryErrorContract:
+    """Bad query flags exit 2 with one ``error:`` line, table or ``--json``."""
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["table", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "-k", "0"],
+            ["simulate", "-k", "3", "-f", "1", "--horizon", "0"],
+            ["montecarlo", "-k", "3", "-f", "1", "--trials", "0"],
+            ["montecarlo", "--workload", "randomized", "-m", "1"],
+            ["timeline", "-m", "3", "-k", "2", "--target-ray", "7"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_flags_exit_2(self, argv, as_json, capsys):
+        assert main(argv + (["--json"] if as_json else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestDistributedCli:
     """CLI surface of the multi-node dispatch: --workers, --async, serve."""
