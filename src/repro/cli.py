@@ -66,7 +66,7 @@ import time
 from typing import List, Optional
 
 from .analysis.tables import EXPERIMENTS, all_experiments
-from .exceptions import ReproError
+from .exceptions import InvalidProblemError, ReproError
 from .reporting import format_value, render_experiment, render_json, render_table
 
 __all__ = ["main", "build_parser"]
@@ -435,6 +435,8 @@ def _query_spec(args: argparse.Namespace):
     if args.command == "simulate":
         return spec.SimulateSpec(**problem, horizon=args.horizon)
     if args.command == "timeline":
+        if args.limit < 0:
+            raise InvalidProblemError(f"--limit must be non-negative, got {args.limit}")
         return spec.TimelineSpec(
             **problem,
             target_ray=args.target_ray,
@@ -515,13 +517,12 @@ def _faults_table(payload: dict, args: argparse.Namespace) -> str:
 
 
 def _timeline_table(payload: dict, args: argparse.Namespace) -> str:
-    from .simulation.timeline import Event
+    from .simulation.timeline import Event, truncate_rows
 
     target = payload["target"]
-    events = [Event(**event).describe() for event in payload["events"]]
-    if len(events) > args.limit:
-        omitted = len(events) - args.limit
-        events = events[: args.limit] + [f"... ({omitted} more events)"]
+    events = truncate_rows(
+        [Event(**event).describe() for event in payload["events"]], args.limit
+    )
     return "\n".join(
         [
             payload["problem"]["description"],

@@ -26,8 +26,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..core.problem import SearchProblem
 from ..exceptions import InvalidProblemError
+from ..geometry.compiled import compiled_team
 from ..geometry.rays import RayPoint
 from ..geometry.trajectory import Trajectory
 from ..geometry.visits import Visit, first_visits
@@ -211,14 +214,12 @@ class Adversary:
     # ------------------------------------------------------------------
     def _candidates_by_ray(
         self, trajectories: Sequence[Trajectory], horizon: float
-    ) -> Dict[int, List[float]]:
+    ) -> Dict[int, np.ndarray]:
+        """:func:`candidate_distances` of every ray, cached on the team."""
+        team = compiled_team(trajectories)
+        min_distance = self.problem.min_target_distance
         return {
-            ray: candidate_distances(
-                trajectories,
-                ray,
-                min_distance=self.problem.min_target_distance,
-                horizon=horizon,
-            )
+            ray: team.candidates(ray, min_distance, horizon)
             for ray in range(self.problem.num_rays)
         }
 

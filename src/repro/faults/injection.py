@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,8 +40,8 @@ from ..core.problem import SearchProblem
 from ..exceptions import InvalidProblemError
 from ..geometry.rays import RayPoint
 from ..geometry.trajectory import Trajectory
-from ..geometry.visits import first_visits
-from ..simulation.engine import DEFAULT_ENGINE, validate_engine
+from ..geometry.visits import first_visits, order_statistic_times
+from ..simulation.engine import DEFAULT_ENGINE, VECTORIZED_ENGINE, validate_engine
 from ..simulation.monte_carlo import (
     FaultTrialBatch,
     SeedLike,
@@ -51,6 +51,7 @@ from ..simulation.monte_carlo import (
     fault_detection_times,
     iter_chunk_seeds,
     sample_fault_trials,
+    target_arrival_matrix,
     trial_detection_time,
 )
 from ..strategies.base import Strategy
@@ -278,24 +279,28 @@ def _ratio_column(batch: FaultTrialBatch, detection_times: np.ndarray) -> np.nda
 
 
 def _adversarial_ratio(
-    adversary, trajectories: Sequence[Trajectory], targets: Sequence[RayPoint], engine: str
+    adversary,
+    trajectories: Sequence[Trajectory],
+    targets: Sequence[RayPoint],
+    arrivals: Optional[np.ndarray],
 ) -> float:
     """The adversary's worst ratio over a fixed target pool.
 
-    The vectorized engine groups the pool by ray and takes the maximum from
-    one batched :func:`~repro.simulation.engine.best_candidate` pass; the
-    scalar engine (and any fault model without an order-statistic
-    confirmation rule) keeps the per-target ``response_at`` loop as the
-    oracle.  Both divide the same arrival times by the same distances, so
-    they agree exactly.
+    With the pool's arrival matrix (the vectorized engine) and an
+    order-statistic fault model, the maximum comes from one batched order
+    statistic over its columns; otherwise (the scalar engine, or a fault
+    model without an order-statistic confirmation rule) the per-target
+    ``response_at`` loop stays the oracle.  Both divide the same arrival
+    times by the same distances, so they agree exactly.
     """
-    from ..simulation.engine import VECTORIZED_ENGINE, best_candidate, supports_vectorized
+    from ..simulation.engine import supports_vectorized
 
-    if engine == VECTORIZED_ENGINE and supports_vectorized(adversary.fault_model):
-        by_ray: Dict[int, List[float]] = {}
-        for target in targets:
-            by_ray.setdefault(target.ray, []).append(target.distance)
-        return best_candidate(trajectories, adversary.fault_model, by_ray).ratio
+    if arrivals is not None and supports_vectorized(adversary.fault_model):
+        confirmations = order_statistic_times(
+            arrivals, adversary.fault_model.required_visits
+        )
+        distances = np.asarray([target.distance for target in targets], dtype=float)
+        return float(np.max(confirmations / distances))
     return max(adversary.response_at(trajectories, target).ratio for target in targets)
 
 
@@ -371,10 +376,18 @@ def simulate_random_faults(
     if any(target.distance <= 0 for target in targets):
         raise InvalidProblemError("fault-injection targets must lie at a positive distance")
 
-    # Adversarial reference over the same targets.
+    # One arrival matrix over the target pool serves the adversarial
+    # reference and every chunk's detection.
+    arrivals = (
+        target_arrival_matrix(trajectories, targets)
+        if engine == VECTORIZED_ENGINE
+        else None
+    )
     from .adversary import Adversary
 
-    adversarial_ratio = _adversarial_ratio(Adversary(problem), trajectories, targets, engine)
+    adversarial_ratio = _adversarial_ratio(
+        Adversary(problem), trajectories, targets, arrivals
+    )
 
     if not adaptive:
         batch: FaultTrialBatch = sample_fault_trials(
@@ -386,7 +399,9 @@ def simulate_random_faults(
             crash_model=crash_model,
             horizon=horizon,
         )
-        detection_times = fault_detection_times(trajectories, batch, engine=engine)
+        detection_times = fault_detection_times(
+            trajectories, batch, engine=engine, arrivals=arrivals
+        )
         return FaultInjectionReport._from_chunks(
             [(batch, detection_times)], adversarial_ratio, engine
         )
@@ -412,7 +427,9 @@ def simulate_random_faults(
             crash_model=crash_model,
             horizon=horizon,
         )
-        chunk_times = fault_detection_times(trajectories, chunk_batch, engine=engine)
+        chunk_times = fault_detection_times(
+            trajectories, chunk_batch, engine=engine, arrivals=arrivals
+        )
         std_error = estimator.add_chunk(_ratio_column(chunk_batch, chunk_times))
         chunks.append((chunk_batch, chunk_times))
         if on_chunk is not None:

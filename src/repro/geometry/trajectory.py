@@ -160,6 +160,10 @@ class Trajectory:
     at the origin).  A trajectory is immutable once built.
     """
 
+    #: True for the trajectories the process-wide memo shares; only teams
+    #: of those enter the team memo of :mod:`repro.geometry.compiled`.
+    _memoized = False
+
     def __init__(self, segments: Sequence[Segment]) -> None:
         segs = tuple(segments)
         self._validate(segs)
@@ -498,7 +502,9 @@ def _excursion_key(
 @lru_cache(maxsize=TRAJECTORY_MEMO_SIZE)
 def _excursion_trajectory(excursions: Tuple[Tuple[int, float], ...]) -> Trajectory:
     """The memo itself; ``excursions`` must already be a valid key."""
-    return _ExcursionTrajectory(excursions)
+    trajectory = _ExcursionTrajectory(excursions)
+    trajectory._memoized = True
+    return trajectory
 
 
 def zigzag_trajectory(
@@ -579,7 +585,9 @@ def _zigzag_trajectory(
                 f"final_leg must be positive, got {final_leg}"
             )
         add_leg(direction * final_leg)
-    return Trajectory(segments)
+    trajectory = Trajectory(segments)
+    trajectory._memoized = True
+    return trajectory
 
 
 def straight_trajectory(ray: int, distance: float) -> Trajectory:

@@ -15,6 +15,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..exceptions import InvalidProblemError
+from .compiled import compiled_team
 from .rays import RayPoint
 from .trajectory import Trajectory
 
@@ -99,15 +100,12 @@ def first_arrival_matrix(
     """The ``(robots, targets)`` matrix of first arrival times on one ray.
 
     Row ``r`` holds robot ``r``'s first arrival at every queried distance
-    (``inf`` where it never visits).  Built from the trajectories' cached
-    compiled forms, so a batch of targets costs one ``np.searchsorted`` per
-    robot instead of a Python loop per (robot, target) pair.
+    (``inf`` where it never visits).  Read from the team's compiled form
+    (:func:`~repro.geometry.compiled.compiled_team`), so a batch of
+    targets costs one ``np.searchsorted`` over the union of every robot's
+    reaches, one gather and one add, for all robots at once.
     """
-    distances = np.asarray(distances, dtype=float).reshape(-1)
-    out = np.empty((len(trajectories), distances.size))
-    for row, trajectory in enumerate(trajectories):
-        out[row] = trajectory.compiled().first_arrival_times(ray, distances)
-    return out
+    return compiled_team(trajectories).arrival_matrix(ray, distances)
 
 
 def order_statistic_times(matrix: np.ndarray, n: int) -> np.ndarray:

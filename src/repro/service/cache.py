@@ -288,15 +288,27 @@ class ResultCache:
             _CACHE_MISSES.inc()
         return payload
 
-    def _get_local_tiers(self, key: str):
+    def peek(self, key: str) -> Optional[dict]:
+        """A memory-then-disk read that counts no request.
+
+        For reading back what this node stored itself (a finished job's
+        spilled rows): such a read is not a lookup, and counting it would
+        make the hit rate depend on when a stream reads its rows.  The
+        tier counters (``disk_hits``, the tier metrics) still record where
+        the payload came from.
+        """
+        return self._get_local_tiers(key, count=False)[1]
+
+    def _get_local_tiers(self, key: str, count: bool = True):
         """Memory-then-disk lookup; returns ``(hit, payload)`` without
-        counting a miss (the callers decide whether peers come next)."""
+        counting a miss (the callers decide whether peers come next).
+        ``count`` False leaves the request counters alone on a hit too."""
         start = time.monotonic()
         with self._lock:
             snapshot = self._entries.get(key)
             if snapshot is not None:
                 self._entries.move_to_end(key)
-                self._hits += 1
+                self._hits += count
         if snapshot is not None:
             # Snapshots are immutable bytes: decode outside the lock.
             payload = pickle.loads(snapshot)
@@ -307,7 +319,7 @@ class ResultCache:
         if payload is not None:
             snapshot = _snapshot(payload)
             with self._lock:
-                self._hits += 1
+                self._hits += count
                 self._disk_hits += 1
                 self._store_in_memory(key, snapshot)
             _TIER_HITS["disk"].inc()

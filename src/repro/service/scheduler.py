@@ -414,12 +414,14 @@ class BatchJob:
     def _fetch(self, key: str) -> dict:
         """``key``'s payload from the cache, recomputed and stored on a miss.
 
-        A miss means the entry was evicted from every cache tier; its
-        spec dict recomputes it bit-identically (seeded determinism), and
-        the put saves the next reader the work.
+        The read counts no cache request (the row was stored when the job
+        finished), so streamed and plain runs report the same cache stats.
+        A miss means the entry was evicted from the local tiers; its spec
+        dict recomputes it bit-identically (seeded determinism), and the
+        put saves the next reader the work.
         """
         assert self._cache is not None
-        payload = self._cache.get(key)
+        payload = self._cache.peek(key)
         if payload is None:
             payload = execute_spec(spec_from_dict(self._spec_by_key[key]))
             self._cache.put(key, payload)

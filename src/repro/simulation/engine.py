@@ -5,15 +5,17 @@ few dozen breakpoints per ray, thousands once a verification grid is added.
 The original implementation walked a pure-Python loop per target (allocate
 ``Visit`` objects, sort them, build an ``AdversaryChoice``), which made the
 evaluation cost ``O(targets x robots)`` Python operations.  This module
-batches the whole computation per ray:
+batches the whole computation over all rays and all robots at once:
 
-1. every robot's first arrival at *all* candidate distances is one
-   ``np.searchsorted`` over its compiled trajectory
-   (:mod:`repro.geometry.compiled`), giving a ``(robots, targets)`` arrival
-   matrix;
+1. the strategy's robots are compiled together into one
+   :class:`~repro.geometry.compiled.CompiledTeam` (memoized per tuple of
+   trajectories), so every robot's first arrival at *all* candidate
+   distances is one ``np.searchsorted`` per ray plus one gather and one
+   add, giving a ``(robots, targets)`` arrival matrix over every ray;
 2. the crash-fault confirmation time of all targets at once is the
    ``(f+1)``-th order statistic per column, via ``np.partition``;
-3. the worst target is the argmax of ``confirmation / distance``.
+3. the worst target is the argmax of ``confirmation / distance`` over the
+   ray-ascending concatenation of the candidates.
 
 The scalar per-target path is kept as a reference oracle; every public
 entry point accepts ``engine="vectorized"`` (the default) or
@@ -33,9 +35,10 @@ import numpy as np
 
 from ..exceptions import InvalidProblemError
 from ..faults.models import FaultModel
+from ..geometry.compiled import compiled_team
 from ..geometry.rays import RayPoint
 from ..geometry.trajectory import Trajectory
-from ..geometry.visits import Visit, first_arrival_matrix, order_statistic_times
+from ..geometry.visits import Visit, order_statistic_times
 from .detection import DetectionOutcome
 
 __all__ = [
@@ -95,33 +98,46 @@ def best_candidate(
 ) -> Optional[BatchBest]:
     """The ratio-maximising target among per-ray candidate distances.
 
-    Rays are scanned in ascending order and comparisons are strict, so ties
-    resolve to the lowest ray and, within a ray, to the first (smallest)
-    candidate — the same tie-breaking as the scalar reference loop.
-    Returns ``None`` when every ray's candidate list is empty.
+    Every ray's candidates go through one arrival matrix, concatenated in
+    ascending ray order, and the first maximum wins: ties resolve to the
+    lowest ray and, within a ray, to the first (smallest) candidate — the
+    same tie-breaking as the scalar reference loop.  Returns ``None`` when
+    every ray's candidate list is empty.
     """
-    required = fault_model.required_visits
-    best: Optional[BatchBest] = None
-    for ray in sorted(candidates_by_ray):
-        distances = np.asarray(candidates_by_ray[ray], dtype=float)
-        if distances.size == 0:
-            continue
-        matrix = first_arrival_matrix(trajectories, ray, distances)
-        confirmations = order_statistic_times(matrix, required)
-        # Non-positive distances (the origin) force an infinite ratio, the
-        # scalar engine's convention; computing 0/0 here would yield NaN and
-        # poison the argmax.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratios = np.where(distances > 0, confirmations / distances, math.inf)
-        index = int(np.argmax(ratios))
-        if best is None or ratios[index] > best.ratio:
-            best = BatchBest(
-                ray=ray,
-                distance=float(distances[index]),
-                detection_time=float(confirmations[index]),
-                ratio=float(ratios[index]),
-            )
-    return best
+    groups = [
+        (ray, np.asarray(candidates_by_ray[ray], dtype=float))
+        for ray in sorted(candidates_by_ray)
+    ]
+    groups = [(ray, group) for ray, group in groups if group.size]
+    if not groups:
+        return None
+    team = compiled_team(trajectories)
+    distances = np.concatenate([group for _ray, group in groups])
+    columns = np.concatenate([team.columns(ray, group) for ray, group in groups])
+    confirmations = order_statistic_times(
+        team.arrivals(columns, distances), fault_model.required_visits
+    )
+    # Non-positive distances (the origin) force an infinite ratio, the
+    # scalar engine's convention; dividing there would yield NaN and
+    # poison the argmax.
+    ratios = np.divide(
+        confirmations,
+        distances,
+        out=np.full(distances.size, math.inf),
+        where=distances > 0,
+    )
+    index = int(np.argmax(ratios))
+    offset = index
+    for ray, group in groups:
+        if offset < group.size:
+            break
+        offset -= group.size
+    return BatchBest(
+        ray=ray,
+        distance=float(distances[index]),
+        detection_time=float(confirmations[index]),
+        ratio=float(ratios[index]),
+    )
 
 
 def detection_outcomes(
@@ -133,48 +149,41 @@ def detection_outcomes(
 
     Produces the same :class:`DetectionOutcome` objects as the scalar
     ``detect`` loop (visits sorted by ``(time, robot)``, adversarial fault
-    set, confirming robot), but computes all arrival times per ray in one
-    batch.  Order of the returned list matches the order of ``targets``.
+    set, confirming robot), but computes every arrival time of every target
+    as one team arrival matrix.  Order of the returned list matches the
+    order of ``targets``.
     """
     required = fault_model.required_visits
     num_faulty = fault_model.num_faulty
-    outcomes: List[Optional[DetectionOutcome]] = [None] * len(targets)
-    by_ray: Dict[int, List[int]] = {}
-    for position, target in enumerate(targets):
-        by_ray.setdefault(target.ray, []).append(position)
-    for ray, positions in sorted(by_ray.items()):
-        distances = np.asarray(
-            [targets[i].distance for i in positions], dtype=float
+    matrix = compiled_team(trajectories).pool_arrival_matrix(targets)
+    # Stable sort on time keeps equal-time visits in robot order, the
+    # ordering of sorted Visit(time, robot) tuples.
+    order = np.argsort(matrix, axis=0, kind="stable")
+    times = np.take_along_axis(matrix, order, axis=0)
+    outcomes: List[DetectionOutcome] = []
+    for column, target in enumerate(targets):
+        column_times = times[:, column]
+        num_finite = int(np.searchsorted(column_times, math.inf))
+        visits = tuple(
+            Visit(time=float(column_times[row]), robot=int(order[row, column]))
+            for row in range(num_finite)
         )
-        matrix = first_arrival_matrix(trajectories, ray, distances)
-        # Stable sort on time keeps equal-time visits in robot order, the
-        # ordering of sorted Visit(time, robot) tuples.
-        order = np.argsort(matrix, axis=0, kind="stable")
-        times = np.take_along_axis(matrix, order, axis=0)
-        for column, position in enumerate(positions):
-            target = targets[position]
-            column_times = times[:, column]
-            num_finite = int(np.searchsorted(column_times, math.inf))
-            visits = tuple(
-                Visit(time=float(column_times[row]), robot=int(order[row, column]))
-                for row in range(num_finite)
-            )
-            detected = num_finite >= required
-            detection_time = float(column_times[required - 1]) if detected else math.inf
-            confirming = int(order[required - 1, column]) if detected else None
-            ratio = (
-                detection_time / target.distance
-                if target.distance > 0
-                else math.inf
-            )
-            outcomes[position] = DetectionOutcome(
+        detected = num_finite >= required
+        detection_time = float(column_times[required - 1]) if detected else math.inf
+        confirming = int(order[required - 1, column]) if detected else None
+        ratio = (
+            detection_time / target.distance
+            if target.distance > 0
+            else math.inf
+        )
+        outcomes.append(
+            DetectionOutcome(
                 target=target,
                 visits=visits,
-                faulty_robots=tuple(
-                    visit.robot for visit in visits[:num_faulty]
-                ),
+                faulty_robots=tuple(visit.robot for visit in visits[:num_faulty]),
                 confirming_robot=confirming,
                 detection_time=detection_time,
                 ratio=ratio,
             )
-    return outcomes  # type: ignore[return-value]
+        )
+    return outcomes

@@ -43,14 +43,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..exceptions import InvalidProblemError
+from ..geometry.compiled import compiled_team
 from ..geometry.rays import RayPoint
 from ..geometry.trajectory import _EPS, Trajectory
-from ..geometry.visits import first_arrival_matrix
 from .engine import DEFAULT_ENGINE, SCALAR_ENGINE, validate_engine
 
 __all__ = [
@@ -555,19 +555,12 @@ def target_arrival_matrix(
 ) -> np.ndarray:
     """The ``(robots, targets)`` first-arrival matrix over a mixed-ray pool.
 
-    Groups the pool by ray and delegates each group to
-    :func:`repro.geometry.visits.first_arrival_matrix` (one
-    ``np.searchsorted`` per robot per ray over the compiled arrival
-    arrays), then scatters the columns back into pool order.
+    One pass over the strategy's compiled team
+    (:meth:`~repro.geometry.compiled.CompiledTeam.pool_arrival_matrix`):
+    one ``np.searchsorted`` per ray, one gather and one add, with the
+    columns in pool order.
     """
-    out = np.full((len(trajectories), len(targets)), math.inf)
-    by_ray: Dict[int, List[int]] = {}
-    for position, target in enumerate(targets):
-        by_ray.setdefault(target.ray, []).append(position)
-    for ray, positions in sorted(by_ray.items()):
-        distances = np.asarray([targets[i].distance for i in positions], dtype=float)
-        out[:, positions] = first_arrival_matrix(trajectories, ray, distances)
-    return out
+    return compiled_team(trajectories).pool_arrival_matrix(targets)
 
 
 def fault_detection_times(
@@ -575,6 +568,7 @@ def fault_detection_times(
     batch: FaultTrialBatch,
     engine: str = DEFAULT_ENGINE,
     trials_per_batch: int = DEFAULT_TRIALS_PER_BATCH,
+    arrivals: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Detection time of every trial in a batch (``inf`` when never confirmed).
 
@@ -584,6 +578,9 @@ def fault_detection_times(
     vectorized engine evaluates all trials against the shared
     ``(robots, targets)`` compiled arrival matrix in ``trials_per_batch``
     chunks; the scalar engine walks the per-trial reference loop.
+    ``arrivals`` is that matrix (:func:`target_arrival_matrix` of
+    ``batch.targets``) when the caller already holds it, as a campaign
+    whose chunks share one target pool does.
     """
     engine = validate_engine(engine)
     if len(trajectories) != batch.num_robots:
@@ -593,7 +590,9 @@ def fault_detection_times(
         )
     if engine == SCALAR_ENGINE:
         return _fault_detection_times_scalar(trajectories, batch)
-    return _fault_detection_times_vectorized(trajectories, batch, trials_per_batch)
+    return _fault_detection_times_vectorized(
+        trajectories, batch, trials_per_batch, arrivals
+    )
 
 
 def trial_detection_time(
@@ -629,12 +628,14 @@ def _fault_detection_times_vectorized(
     trajectories: Sequence[Trajectory],
     batch: FaultTrialBatch,
     trials_per_batch: int,
+    arrivals: Optional[np.ndarray],
 ) -> np.ndarray:
     if trials_per_batch < 1:
         raise InvalidProblemError(
             f"trials_per_batch must be positive, got {trials_per_batch}"
         )
-    arrivals = target_arrival_matrix(trajectories, batch.targets)
+    if arrivals is None:
+        arrivals = target_arrival_matrix(trajectories, batch.targets)
     out = np.empty(batch.num_trials)
     for lo in range(0, batch.num_trials, trials_per_batch):
         hi = min(lo + trials_per_batch, batch.num_trials)

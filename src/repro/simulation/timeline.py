@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..core.problem import SearchProblem
+from ..exceptions import InvalidProblemError
 from ..faults.models import FaultModel, fault_model_for
 from ..geometry.rays import RayPoint
 from ..geometry.trajectory import Trajectory
 from .detection import detect
 
-__all__ = ["Event", "Timeline", "build_timeline"]
+__all__ = ["Event", "Timeline", "build_timeline", "truncate_rows"]
 
 
 @dataclass(frozen=True, order=True)
@@ -80,11 +81,7 @@ class Timeline:
 
     def render(self, limit: Optional[int] = None) -> str:
         """Multi-line plain-text rendering (truncated to ``limit`` events)."""
-        rows = [event.describe() for event in self.events]
-        if limit is not None and len(rows) > limit:
-            omitted = len(rows) - limit
-            rows = rows[:limit] + [f"... ({omitted} more events)"]
-        return "\n".join(rows)
+        return "\n".join(truncate_rows([event.describe() for event in self.events], limit))
 
     def to_dict(self) -> dict:
         """Plain-dict form (for JSON rendering and the service layer)."""
@@ -94,6 +91,20 @@ class Timeline:
             "num_events": len(self.events),
             "events": [event.to_dict() for event in self.events],
         }
+
+
+def truncate_rows(rows: List[str], limit: Optional[int]) -> List[str]:
+    """The first ``limit`` rows plus a count of the rest (all when ``None``).
+
+    Raises :class:`InvalidProblemError` for a negative ``limit``.
+    """
+    if limit is None:
+        return rows
+    if limit < 0:
+        raise InvalidProblemError(f"limit must be non-negative, got {limit}")
+    if len(rows) <= limit:
+        return rows
+    return rows[:limit] + [f"... ({len(rows) - limit} more events)"]
 
 
 def build_timeline(

@@ -329,6 +329,26 @@ class TestCliCommands:
         assert payload["results"][0]["ratio"] == pytest.approx(5.2331, abs=5e-5)
         assert payload["results"][2]["ratio"] == 9.0
 
+    def test_batch_stream_reports_the_plain_run_cache_stats(self, tmp_path, capsys):
+        # Five scenarios, four unique: the streamed rows are read back from
+        # the cache, and those reads must not count as cache requests.
+        scenarios = [
+            {"kind": "simulate", "num_rays": 2, "num_robots": 1,
+             "num_faulty": 0, "horizon": float(horizon)}
+            for horizon in (20, 21, 22, 23, 20)
+        ]
+        path = tmp_path / "scenarios.json"
+        path.write_text(json.dumps(scenarios))
+        argv = ["batch", "--file", str(path), "--max-workers", "1", "--json"]
+        caches = []
+        for extra in ([], ["--stream"], [], ["--stream"]):
+            assert main(argv + extra) == 0
+            out = capsys.readouterr().out
+            summary = json.loads(out.splitlines()[-1] if extra else out)
+            caches.append({k: v for k, v in summary["cache"].items() if k != "since"})
+        assert caches[0]["requests"] == 4 and caches[0]["hits"] == 0
+        assert all(cache == caches[0] for cache in caches)
+
     def test_batch_command_table_output(self, tmp_path, capsys):
         path = tmp_path / "scenarios.json"
         path.write_text(json.dumps({"scenarios": [{"kind": "bounds",
@@ -433,6 +453,7 @@ class TestQueryErrorContract:
             ["montecarlo", "-k", "3", "-f", "1", "--trials", "0"],
             ["montecarlo", "--workload", "randomized", "-m", "1"],
             ["timeline", "-m", "3", "-k", "2", "--target-ray", "7"],
+            ["timeline", "-k", "3", "-f", "1", "--limit", "-3"],
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -8,7 +8,11 @@ import pytest
 
 from repro.core.bounds import crash_line_ratio
 from repro.core.problem import line_problem, ray_problem
-from repro.exceptions import InvalidStrategyError, TargetNotDetectedError
+from repro.exceptions import (
+    InvalidProblemError,
+    InvalidStrategyError,
+    TargetNotDetectedError,
+)
 from repro.geometry.rays import RayPoint
 from repro.geometry.trajectory import excursion_trajectory, straight_trajectory
 from repro.simulation.competitive import (
@@ -180,6 +184,13 @@ class TestTimeline:
         timeline = build_timeline(trajectories, RayPoint(0, 5.0), line_3_1)
         rendered = timeline.render(limit=2)
         assert "more events" in rendered or len(timeline.events) <= 2
+
+    def test_render_rejects_negative_limit(self, line_3_1, geometric_3_1):
+        trajectories = geometric_3_1.trajectories(50.0)
+        timeline = build_timeline(trajectories, RayPoint(0, 5.0), line_3_1)
+        assert timeline.render(limit=0).startswith("... (")
+        with pytest.raises(InvalidProblemError, match="non-negative"):
+            timeline.render(limit=-3)
 
     def test_undetected_timeline(self, line_3_1):
         trajectories = [
