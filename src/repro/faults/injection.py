@@ -32,12 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.problem import SearchProblem
 from ..exceptions import InvalidProblemError
+from ..geometry.compiled import TargetPool
 from ..geometry.rays import RayPoint
 from ..geometry.trajectory import Trajectory
 from ..geometry.visits import first_visits, order_statistic_times
@@ -251,37 +252,42 @@ def sample_spread_targets(
     num_rays: int,
     horizon: float,
     count: int = 32,
-) -> List[RayPoint]:
+) -> TargetPool:
     """Sample targets geometrically spread over ``[1, horizon]`` on random rays.
 
     The distance exponent is uniform, so target magnitudes cover every
     decade of the horizon equally — the spread the default fault-injection
-    campaign draws its target pool from.
+    campaign draws its target pool from.  The pool is two columns; each
+    distance is Python's ``10.0 ** exponent`` clamped to ``[1, horizon]``,
+    and indexing or iterating the pool gives :class:`RayPoint` s.
     """
     if count < 1:
         raise InvalidProblemError("need at least one target")
+    if num_rays < 1:
+        raise InvalidProblemError(f"need at least one ray, got {num_rays}")
     if not math.isfinite(horizon):
         raise InvalidProblemError(f"horizon must be finite, got {horizon}")
+    if horizon < 1.0:
+        raise InvalidProblemError(f"horizon must be at least 1, got {horizon}")
     top = math.log10(max(horizon, 10.0))
     # Two vector draws: every exponent first, then every ray.
     exponents = rng.random(count) * top
     rays = rng.integers(0, num_rays, size=count)
-    return [
-        RayPoint(ray=ray, distance=min(horizon, max(1.0, 10.0**exponent)))
-        for ray, exponent in zip(rays.tolist(), exponents.tolist())
+    distances = [
+        min(horizon, max(1.0, 10.0**exponent)) for exponent in exponents.tolist()
     ]
+    return TargetPool(rays=rays, distances=np.array(distances, dtype=float))
 
 
 def _ratio_column(batch: FaultTrialBatch, detection_times: np.ndarray) -> np.ndarray:
     """Every trial's ``detection_time / target.distance``, as one array."""
-    distances = np.asarray([target.distance for target in batch.targets], dtype=float)
-    return detection_times / distances[batch.target_indices]
+    return detection_times / batch.targets.distances[batch.target_indices]
 
 
 def _adversarial_ratio(
     adversary,
     trajectories: Sequence[Trajectory],
-    targets: Sequence[RayPoint],
+    targets: TargetPool,
     arrivals: Optional[np.ndarray],
 ) -> float:
     """The adversary's worst ratio over a fixed target pool.
@@ -299,8 +305,7 @@ def _adversarial_ratio(
         confirmations = order_statistic_times(
             arrivals, adversary.fault_model.required_visits
         )
-        distances = np.asarray([target.distance for target in targets], dtype=float)
-        return float(np.max(confirmations / distances))
+        return float(np.max(confirmations / targets.distances))
     return max(adversary.response_at(trajectories, target).ratio for target in targets)
 
 
@@ -328,7 +333,7 @@ def simulate_random_faults(
     horizon: float,
     num_trials: int = 200,
     seed: SeedLike = 0,
-    targets: Optional[Sequence[RayPoint]] = None,
+    targets: Optional[Union[TargetPool, Sequence[RayPoint]]] = None,
     engine: str = DEFAULT_ENGINE,
     crash_model: str = "silent",
     target_se: Optional[float] = None,
@@ -371,10 +376,14 @@ def simulate_random_faults(
 
     if targets is None:
         targets = sample_spread_targets(rng, problem.num_rays, horizon)
-    if not targets:
-        raise InvalidProblemError("need at least one target to sample from")
-    if any(target.distance <= 0 for target in targets):
-        raise InvalidProblemError("fault-injection targets must lie at a positive distance")
+    else:
+        if not targets:
+            raise InvalidProblemError("need at least one target to sample from")
+        targets = TargetPool.of(targets)
+        if (targets.distances <= 0).any():
+            raise InvalidProblemError(
+                "fault-injection targets must lie at a positive distance"
+            )
 
     # One arrival matrix over the target pool serves the adversarial
     # reference and every chunk's detection.

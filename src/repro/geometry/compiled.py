@@ -38,20 +38,73 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .rays import RayPoint
 from .trajectory import _EPS, TRAJECTORY_MEMO_SIZE, Trajectory
 
-__all__ = ["CompiledRay", "CompiledTrajectory", "CompiledTeam", "compiled_team"]
+__all__ = [
+    "CompiledRay",
+    "CompiledTrajectory",
+    "CompiledTeam",
+    "TargetPool",
+    "compiled_team",
+]
 
 
 def _read_only(values) -> np.ndarray:
     array = np.asarray(values, dtype=float)
     array.flags.writeable = False
     return array
+
+
+@dataclass(frozen=True, eq=False)
+class TargetPool:
+    """A pool of targets as two columns: ``rays`` and ``distances``.
+
+    The batched kernels read the columns directly; indexing or iterating
+    the pool yields :class:`~repro.geometry.rays.RayPoint` s, built once on
+    first use.  A pool made by :meth:`of` from points holds exactly their
+    rays and distances.
+    """
+
+    rays: np.ndarray
+    distances: np.ndarray
+
+    @classmethod
+    def of(cls, targets: Union["TargetPool", Sequence[RayPoint]]) -> "TargetPool":
+        """``targets`` as a pool (a pool is returned as it is)."""
+        if isinstance(targets, TargetPool):
+            return targets
+        count = len(targets)
+        pool = cls(
+            rays=np.fromiter((target.ray for target in targets), np.intp, count),
+            distances=np.fromiter(
+                (target.distance for target in targets), float, count
+            ),
+        )
+        # Indexing the pool gives back the caller's own points.
+        object.__setattr__(pool, "points", tuple(targets))
+        return pool
+
+    @cached_property
+    def points(self) -> Tuple[RayPoint, ...]:
+        """The targets as :class:`~repro.geometry.rays.RayPoint` s."""
+        return tuple(
+            RayPoint(ray=ray, distance=distance)
+            for ray, distance in zip(self.rays.tolist(), self.distances.tolist())
+        )
+
+    def __len__(self) -> int:
+        return int(self.distances.size)
+
+    def __getitem__(self, index: int) -> RayPoint:
+        return self.points[index]
+
+    def __iter__(self) -> Iterator[RayPoint]:
+        return iter(self.points)
 
 
 @dataclass(frozen=True)
@@ -217,16 +270,16 @@ class CompiledTeam:
         distances = np.asarray(distances, dtype=float).reshape(-1)
         return self.arrivals(self.columns(ray, distances), distances)
 
-    def pool_arrival_matrix(self, targets: Sequence[RayPoint]) -> np.ndarray:
+    def pool_arrival_matrix(
+        self, targets: Union[TargetPool, Sequence[RayPoint]]
+    ) -> np.ndarray:
         """The ``(robots, targets)`` matrix of a pool of targets on mixed rays.
 
         Column ``i`` is target ``i``; one ``np.searchsorted`` per visited
         ray locates them all.
         """
-        rays = np.fromiter((target.ray for target in targets), np.intp, len(targets))
-        distances = np.fromiter(
-            (target.distance for target in targets), float, len(targets)
-        )
+        pool = TargetPool.of(targets)
+        rays, distances = pool.rays, pool.distances
         columns = np.zeros(distances.size, dtype=np.intp)
         for ray in self._rays:
             on_ray = rays == ray

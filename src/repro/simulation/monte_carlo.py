@@ -48,7 +48,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..exceptions import InvalidProblemError
-from ..geometry.compiled import compiled_team
+from ..geometry.compiled import TargetPool, compiled_team
 from ..geometry.rays import RayPoint
 from ..geometry.trajectory import _EPS, Trajectory
 from .engine import DEFAULT_ENGINE, SCALAR_ENGINE, validate_engine
@@ -138,39 +138,76 @@ def iter_chunk_seeds(seed: SeedLike) -> Iterator[int]:
 _QUANTILE_LEVELS = (0.5, 0.9, 0.95, 0.99)
 
 
-def _linear_quantile(ordered: np.ndarray, q: float) -> float:
+def _linear_quantile(lower: float, upper: float, fraction: float) -> float:
     """np.quantile's default linear interpolation, but inf-safe.
 
-    NumPy's lerp turns a finite/inf bracket into nan; here a quantile is
-    inf exactly when its position falls strictly inside the infinite tail,
-    and finite quantiles below the tail stay finite.
+    ``lower`` and ``upper`` are the order statistics bracketing the
+    quantile's position.  NumPy's lerp turns a finite/inf bracket into
+    nan; here a quantile is inf exactly when its position falls strictly
+    inside the infinite tail, and finite quantiles below the tail stay
+    finite.
     """
-    position = q * (ordered.size - 1)
-    lower = int(math.floor(position))
-    fraction = position - lower
-    a = float(ordered[lower])
     if fraction == 0.0:
-        return a
-    b = float(ordered[min(lower + 1, ordered.size - 1)])
-    if not math.isfinite(a) or not math.isfinite(b):
-        return b
-    return a + (b - a) * fraction
+        return lower
+    if not math.isfinite(lower) or not math.isfinite(upper):
+        return upper
+    return lower + (upper - lower) * fraction
 
 
-def _batch_means(sample: np.ndarray, num_batches: int) -> Tuple[float, ...]:
-    """Means of the ``np.array_split(sample, num_batches)`` chunks.
+def _quantile_positions(size: int) -> Tuple[List[int], List[float]]:
+    """The ranks each quantile level reads (lower and upper, interleaved)
+    and its interpolation fraction, for a sample of ``size`` values."""
+    ranks: List[int] = []
+    fractions: List[float] = []
+    for q in _QUANTILE_LEVELS:
+        position = q * (size - 1)
+        lower = int(math.floor(position))
+        ranks += [lower, min(lower + 1, size - 1)]
+        fractions.append(position - lower)
+    return ranks, fractions
+
+
+def _row_means(rows: np.ndarray, width: int) -> np.ndarray:
+    """Means of consecutive ``width``-value groups of every row.
+
+    Each group is reduced along the last axis with the same pairwise
+    summation as a 1-D ``group.mean()``, so the values are bit-identical.
+    """
+    groups = rows.reshape(rows.shape[0], rows.shape[-1] // width, width)
+    return np.add.reduce(groups, axis=-1) / width
+
+
+def _batch_means(rows: np.ndarray, num_batches: int) -> np.ndarray:
+    """Every row's means of its ``np.array_split(row, num_batches)`` chunks.
 
     ``array_split`` gives the first ``size % num_batches`` chunks one extra
-    element; each group of equal-length chunks is one 2-D row-wise mean,
-    which reduces every row with the same pairwise summation as a 1-D
-    ``chunk.mean()`` — so the values are bit-identical, without a Python
-    loop over chunks.
+    element; each group of equal-length chunks is one row-wise reduction,
+    bit-identical to the per-chunk ``chunk.mean()`` without a Python loop
+    over chunks.
     """
-    size, extra = divmod(sample.size, num_batches)
+    size, extra = divmod(rows.shape[-1], num_batches)
     cut = extra * (size + 1)
-    longer = sample[:cut].reshape(extra, size + 1).mean(axis=1)
-    shorter = sample[cut:].reshape(num_batches - extra, size).mean(axis=1)
-    return tuple(longer.tolist() + shorter.tolist())
+    return np.concatenate(
+        [_row_means(rows[:, :cut], size + 1), _row_means(rows[:, cut:], size)],
+        axis=1,
+    )
+
+
+def _standard_errors(
+    rows: np.ndarray, means: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Per row: the unbiased sample deviation over ``sqrt(n)``.
+
+    The operations of ``row.std(ddof=1) / math.sqrt(n)``, reusing the rows'
+    means, with the squared deviations in ``scratch`` (an array of the rows'
+    shape); 0 for single values.  Only meaningful for rows of finite values.
+    """
+    size = rows.shape[-1]
+    if size == 1:
+        return np.zeros(rows.shape[0])
+    np.subtract(rows, means[:, None], out=scratch)
+    np.multiply(scratch, scratch, out=scratch)
+    return np.sqrt(np.add.reduce(scratch, axis=-1) / (size - 1)) / math.sqrt(size)
 
 
 @dataclass(frozen=True)
@@ -195,28 +232,81 @@ class TrialStatistics:
     @classmethod
     def from_sample(cls, values: Sequence[float], num_batches: int = 8) -> "TrialStatistics":
         """Compute the statistics of a flat sample of trial ratios."""
-        sample = np.asarray(values, dtype=float).reshape(-1)
-        if sample.size == 0:
+        sample = np.asarray(values, dtype=float).reshape(1, -1)
+        return cls._from_rows(sample, num_batches)[0]
+
+    @classmethod
+    def from_columns(
+        cls, matrix: np.ndarray, num_batches: int = 8
+    ) -> Tuple["TrialStatistics", ...]:
+        """The statistics of every column of a ``(trials, columns)`` matrix.
+
+        Column ``j``'s statistics are bit-identical to
+        ``from_sample(matrix[:, j])``: the columns are summarised together
+        over the matrix's contiguous transpose, whose row reductions along
+        the last axis are the same pairwise sums as the 1-D ones.  The
+        transpose of a column-major matrix needs no copy.
+        """
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.ndim != 2:
+            raise InvalidProblemError(
+                f"need a (trials, columns) matrix, got shape {matrix.shape}"
+            )
+        return cls._from_rows(np.ascontiguousarray(matrix.T), num_batches)
+
+    @classmethod
+    def _from_rows(
+        cls, rows: np.ndarray, num_batches: int
+    ) -> Tuple["TrialStatistics", ...]:
+        """One instance per row of a ``(columns, trials)`` array, in one pass.
+
+        One ``np.add.reduce`` per row gives the mean the deviations reuse,
+        and one sort the order statistics: the minimum, the maximum and the
+        two ranks each quantile reads.  NaN sorts last, so a row with a NaN
+        has NaN for both extremes, as ``min`` and ``max`` give; a row is
+        finite when both extremes are.  Only those few values per row
+        become Python floats.  The sort reuses the deviations' buffer, so a
+        summary allocates one array of the rows' shape.
+        """
+        size = rows.shape[-1]
+        if size == 0:
             raise InvalidProblemError("need at least one trial to summarise")
-        finite = np.isfinite(sample)
+        scratch = np.empty(rows.shape)
         with np.errstate(invalid="ignore"):
-            mean = float(sample.mean())
-            if sample.size > 1 and bool(finite.all()):
-                std_error = float(sample.std(ddof=1) / math.sqrt(sample.size))
-            else:
-                std_error = math.nan if not bool(finite.all()) else 0.0
-        ordered = np.sort(sample)
-        quantiles = tuple((q, _linear_quantile(ordered, q)) for q in _QUANTILE_LEVELS)
-        num_batches = max(1, min(num_batches, sample.size))
-        return cls(
-            num_trials=int(sample.size),
-            mean=mean,
-            std_error=std_error,
-            minimum=float(sample.min()),
-            maximum=float(sample.max()),
-            quantiles=quantiles,
-            batch_means=_batch_means(sample, num_batches),
-        )
+            means = np.add.reduce(rows, axis=-1) / size
+            errors = _standard_errors(rows, means, scratch)
+        batch_means = _batch_means(rows, max(1, min(num_batches, size)))
+        np.copyto(scratch, rows)
+        scratch.sort(axis=-1)
+        ranks, fractions = _quantile_positions(size)
+        statistics = []
+        for mean, std_error, (minimum, maximum, *ranked), batches in zip(
+            means.tolist(),
+            errors.tolist(),
+            scratch[:, [0, size - 1, *ranks]].tolist(),
+            batch_means.tolist(),
+        ):
+            if math.isnan(maximum):
+                minimum = maximum
+            if not (math.isfinite(minimum) and math.isfinite(maximum)):
+                std_error = math.nan
+            statistics.append(
+                cls(
+                    num_trials=size,
+                    mean=mean,
+                    std_error=std_error,
+                    minimum=minimum,
+                    maximum=maximum,
+                    quantiles=tuple(
+                        (q, _linear_quantile(lower, upper, fraction))
+                        for q, lower, upper, fraction in zip(
+                            _QUANTILE_LEVELS, ranked[::2], ranked[1::2], fractions
+                        )
+                    ),
+                    batch_means=tuple(batches),
+                )
+            )
+        return tuple(statistics)
 
     def to_dict(self) -> dict:
         """Strict-JSON-safe dict form; inf/nan floats become strings.
@@ -417,19 +507,31 @@ class SequentialEstimator:
         finite and ``n > 1``; ``nan`` with any non-finite value; 0 for a
         single finite trial.
         """
-        sample = self.sample()
-        columns = sample.reshape(sample.shape[0], -1)
-        worst = 0.0
-        for j in range(columns.shape[1]):
-            column = columns[:, j]
-            if not bool(np.isfinite(column).all()):
-                return math.nan
-            if column.size > 1:
-                se = float(column.std(ddof=1) / math.sqrt(column.size))
-            else:
-                se = 0.0
-            worst = max(worst, se)
-        return worst
+        rows = self._rows()
+        if not np.isfinite(rows).all():
+            return math.nan
+        with np.errstate(invalid="ignore"):
+            means = np.add.reduce(rows, axis=-1) / rows.shape[-1]
+            errors = _standard_errors(rows, means, np.empty(rows.shape))
+        # ``max`` keeps the first of equal or unordered values, as the
+        # running ``max(worst, se)`` from 0 does.
+        return max([0.0, *errors.tolist()])
+
+    def _rows(self) -> np.ndarray:
+        """The accumulated sample as ``(columns, trials)`` contiguous rows.
+
+        The chunks' transposes are joined directly, so column-major chunks
+        cost one copy.
+        """
+        if not self._chunks:
+            raise InvalidProblemError("no chunks accumulated yet")
+        rows = [
+            chunk.reshape(1, -1) if chunk.ndim == 1 else chunk.T
+            for chunk in self._chunks
+        ]
+        return np.ascontiguousarray(
+            rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
+        )
 
     def statistics(self, num_batches: int = 8):
         """The accumulated sample as :class:`TrialStatistics`.
@@ -438,13 +540,8 @@ class SequentialEstimator:
         (each column summarised independently, like the randomized
         report's per-target statistics).
         """
-        sample = self.sample()
-        if sample.ndim == 1:
-            return TrialStatistics.from_sample(sample, num_batches=num_batches)
-        return tuple(
-            TrialStatistics.from_sample(sample[:, j], num_batches=num_batches)
-            for j in range(sample.shape[1])
-        )
+        statistics = TrialStatistics._from_rows(self._rows(), num_batches)
+        return statistics[0] if self._chunks[0].ndim == 1 else statistics
 
 
 # ----------------------------------------------------------------------
@@ -457,7 +554,7 @@ class FaultTrialBatch:
     Attributes
     ----------
     targets:
-        The distinct target pool trials draw from.
+        The distinct target pool trials draw from, as columns.
     target_indices:
         ``(trials,)`` integer indices into ``targets``.
     fault_matrix:
@@ -471,7 +568,7 @@ class FaultTrialBatch:
         ``[0, horizon]`` so a faulty robot may still report early visits.
     """
 
-    targets: Tuple[RayPoint, ...]
+    targets: TargetPool
     target_indices: np.ndarray
     fault_matrix: np.ndarray
     crash_times: np.ndarray
@@ -500,7 +597,7 @@ def sample_fault_trials(
     num_trials: int,
     num_robots: int,
     num_faulty: int,
-    targets: Sequence[RayPoint],
+    targets: Union[TargetPool, Sequence[RayPoint]],
     crash_model: str = "silent",
     horizon: Optional[float] = None,
 ) -> FaultTrialBatch:
@@ -543,7 +640,7 @@ def sample_fault_trials(
     else:
         crash_times = np.where(fault_matrix, 0.0, math.inf)
     return FaultTrialBatch(
-        targets=tuple(targets),
+        targets=TargetPool.of(targets),
         target_indices=target_indices,
         fault_matrix=fault_matrix,
         crash_times=crash_times,
@@ -551,7 +648,8 @@ def sample_fault_trials(
 
 
 def target_arrival_matrix(
-    trajectories: Sequence[Trajectory], targets: Sequence[RayPoint]
+    trajectories: Sequence[Trajectory],
+    targets: Union[TargetPool, Sequence[RayPoint]],
 ) -> np.ndarray:
     """The ``(robots, targets)`` first-arrival matrix over a mixed-ray pool.
 
@@ -736,15 +834,20 @@ class CyclicOffsetSchedule:
                 raise InvalidProblemError(
                     f"target distance {distance} beyond planned horizon {self.horizon}"
                 )
-        out = np.empty((offsets.size, len(targets)))
+        # Column-major: each target's column is contiguous, and so are the
+        # rows of the transpose the per-target statistics read.
+        out = np.empty((offsets.size, len(targets)), order="F")
         for lo in range(0, offsets.size, trials_per_batch):
             hi = min(lo + trials_per_batch, offsets.size)
-            out[lo:hi] = self._arrival_chunk(offsets[lo:hi], targets)
+            self._arrival_chunk(offsets[lo:hi], targets, out[lo:hi])
         return out
 
     def _arrival_chunk(
-        self, offsets: np.ndarray, targets: Sequence[Tuple[int, float]]
-    ) -> np.ndarray:
+        self,
+        offsets: np.ndarray,
+        targets: Sequence[Tuple[int, float]],
+        out: np.ndarray,
+    ) -> None:
         m, b = self.num_rays, self.base
         start = int(self.indices[0])
         log_b = math.log(b)
@@ -755,7 +858,6 @@ class CyclicOffsetSchedule:
         powers = b ** self.indices.astype(float)
         prefix = np.append(2.0 * (powers - powers[0]) / (b - 1.0), math.inf)
         scale = b**offsets
-        out = np.empty((offsets.size, len(targets)))
         for j, (ray, distance) in enumerate(targets):
             if distance <= _EPS:
                 out[:, j] = 0.0
@@ -778,7 +880,6 @@ class CyclicOffsetSchedule:
             piece = np.maximum(n0, first_on_ray).astype(np.intp) - start
             np.minimum(piece, self.indices.size, out=piece)
             out[:, j] = scale * prefix[piece] + distance
-        return out
 
 
 #: Distance (in exponent units) from an integer within which the exponent

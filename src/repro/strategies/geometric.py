@@ -37,6 +37,7 @@ The module offers two physical realisations of the same radius schedule:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.bounds import (
@@ -47,7 +48,7 @@ from ..core.bounds import (
 from ..core.problem import Regime, SearchProblem
 from ..exceptions import InvalidProblemError, InvalidStrategyError
 from ..geometry import trajectory as trajectory_module
-from ..geometry.trajectory import Trajectory, zigzag_trajectory
+from ..geometry.trajectory import TRAJECTORY_MEMO_SIZE, Trajectory, zigzag_trajectory
 from .base import Strategy
 
 __all__ = ["RoundRobinGeometricStrategy", "ZigzagGeometricLineStrategy"]
@@ -123,31 +124,19 @@ class RoundRobinGeometricStrategy(Strategy):
     def excursion_schedule(self, robot: int, horizon: float) -> List[Tuple[int, float]]:
         """The ``(ray, radius)`` excursion list of one robot up to ``horizon``."""
         horizon = self._check_horizon(horizon)
-        last_cycle = self._last_cycle(horizon)
-        # :meth:`radius` inlined: the same integer exponents and the same
-        # ``alpha ** exponent`` calls, so the radii are bit-identical.
-        m, k, alpha = self.problem.m, self.problem.k, self.alpha
-        robot_offset = m * robot
-        return [
-            (ray, alpha ** (k * (ray + m * cycle) + robot_offset))
-            for cycle in range(self.start_cycle, last_cycle + 1)
-            for ray in range(m)
-        ]
+        return _schedule(
+            self.problem.m, self.problem.k, self.alpha, self.start_cycle,
+            self._last_cycle(horizon), robot,
+        )
 
     def trajectories(self, horizon: float) -> List[Trajectory]:
-        # Each schedule is already the memo key: ``(int ray, float radius)``
-        # pairs with rays in range and radii increasing from the first, so
-        # only that first radius needs checking (``alpha ** exponent`` can
-        # underflow to 0 for a very negative ``start_cycle``).
-        result = []
-        for robot in range(self.problem.k):
-            schedule = tuple(self.excursion_schedule(robot, horizon))
-            if schedule[0][1] <= 0.0:
-                raise InvalidStrategyError(
-                    f"excursion radius must be positive, got {schedule[0][1]}"
-                )
-            result.append(trajectory_module._excursion_trajectory(schedule))
-        return result
+        horizon = self._check_horizon(horizon)
+        return list(
+            _round_robin_trajectories(
+                self.problem.m, self.problem.k, self.alpha, self.start_cycle,
+                self._last_cycle(horizon),
+            )
+        )
 
     def theoretical_ratio(self) -> float:
         """Worst-case ratio ``1 + 2 alpha^q / (alpha^k - 1)`` of this base.
@@ -162,6 +151,49 @@ class RoundRobinGeometricStrategy(Strategy):
     def optimal_ratio(self) -> float:
         """The tight Theorem 6 value ``A(m, k, f)`` this family can reach."""
         return crash_ray_ratio(self.problem.m, self.problem.k, self.problem.f)
+
+
+def _schedule(
+    m: int, k: int, alpha: float, start_cycle: int, last_cycle: int, robot: int
+) -> List[Tuple[int, float]]:
+    """One robot's ``(ray, radius)`` excursions over cycles ``start..last``.
+
+    :meth:`RoundRobinGeometricStrategy.radius` inlined: the same integer
+    exponents and the same ``alpha ** exponent`` calls, so the radii are
+    bit-identical.
+    """
+    robot_offset = m * robot
+    return [
+        (ray, alpha ** (k * (ray + m * cycle) + robot_offset))
+        for cycle in range(start_cycle, last_cycle + 1)
+        for ray in range(m)
+    ]
+
+
+@lru_cache(maxsize=TRAJECTORY_MEMO_SIZE)
+def _round_robin_trajectories(
+    m: int, k: int, alpha: float, start_cycle: int, last_cycle: int
+) -> Tuple[Trajectory, ...]:
+    """Every robot's trajectory, memoized by the constants that fix them.
+
+    Horizons that land on the same cycle count share one entry, so a
+    repeated problem neither rebuilds nor re-hashes its ``k`` schedules.
+    An entry keeps the trajectories the schedule memo served when it was
+    filled, even after that memo evicts them.
+    Each schedule is already the trajectory memo's key: ``(int ray, float
+    radius)`` pairs with rays in range and radii increasing from the
+    first, so only that first radius needs checking (``alpha ** exponent``
+    can underflow to 0 for a very negative ``start_cycle``).
+    """
+    result = []
+    for robot in range(k):
+        schedule = tuple(_schedule(m, k, alpha, start_cycle, last_cycle, robot))
+        if schedule[0][1] <= 0.0:
+            raise InvalidStrategyError(
+                f"excursion radius must be positive, got {schedule[0][1]}"
+            )
+        result.append(trajectory_module._excursion_trajectory(schedule))
+    return tuple(result)
 
 
 class ZigzagGeometricLineStrategy(Strategy):

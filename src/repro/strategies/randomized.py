@@ -43,13 +43,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.bounds import single_robot_ray_ratio
 from ..exceptions import InvalidProblemError, InvalidStrategyError
-from ..geometry.trajectory import Trajectory, one_off_excursion_trajectory
+from ..geometry.trajectory import (
+    TRAJECTORY_MEMO_SIZE,
+    Trajectory,
+    one_off_excursion_trajectory,
+)
 from ..simulation.engine import DEFAULT_ENGINE, SCALAR_ENGINE, validate_engine
 from ..simulation.monte_carlo import (
     DEFAULT_TRIALS_PER_BATCH,
@@ -88,13 +93,15 @@ def expected_randomized_ratio(base: float, num_rays: int) -> float:
     return 1.0 + 2.0 * (base**m - 1.0) / (m * (base - 1.0) * math.log(base))
 
 
+@lru_cache(maxsize=TRAJECTORY_MEMO_SIZE)
 def optimal_randomized_base(
     num_rays: int, tolerance: float = 1e-10, max_iterations: int = 200
 ) -> float:
     """Base minimising :func:`expected_randomized_ratio` (golden-section search).
 
     For the line the optimum is ``b* ~ 3.5911``; it grows slowly with the
-    number of rays.
+    number of rays.  The answer depends only on the arguments, so it is
+    memoized: the search runs once per number of rays.
     """
     if num_rays < 2:
         raise InvalidProblemError(f"need at least 2 rays, got {num_rays}")
@@ -381,9 +388,7 @@ def monte_carlo_ratio_report(
         )
         return RandomizedSearchReport(
             targets=targets,
-            per_target=tuple(
-                TrialStatistics.from_sample(ratios[:, j]) for j in range(len(targets))
-            ),
+            per_target=TrialStatistics.from_columns(ratios),
             closed_form=strategy.expected_ratio(),
             engine=engine,
             seed=seed if isinstance(seed, int) else None,

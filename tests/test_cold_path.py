@@ -42,11 +42,11 @@ from repro.geometry.trajectory import (
 )
 from repro.simulation.monte_carlo import (
     TrialStatistics,
-    _batch_means,
     as_generator,
     fault_detection_times,
     sample_fault_trials,
 )
+from repro.strategies import geometric as geometric_module
 from repro.strategies.cyclic import CyclicStrategy
 from repro.strategies.geometric import (
     RoundRobinGeometricStrategy,
@@ -123,6 +123,13 @@ def recorded_builds(monkeypatch):
             return result
 
         monkeypatch.setattr(trajectory_module, name, record)
+    # Past the per-problem memo, which serves a repeated geometric problem
+    # without reaching the builders.
+    monkeypatch.setattr(
+        geometric_module,
+        "_round_robin_trajectories",
+        geometric_module._round_robin_trajectories.__wrapped__,
+    )
     return calls
 
 
@@ -251,6 +258,8 @@ class TestTrajectoryMemo:
         # geometric schedule is added either.
         assert after_randomized.misses == before.misses
         assert after_randomized.currsize == before.currsize
+        # Past the per-problem memo, to the schedules themselves.
+        geometric_module._round_robin_trajectories.cache_clear()
         execute_spec(simulate)
         after_simulate = memo_info()
         assert after_simulate.misses == after_randomized.misses
@@ -410,7 +419,7 @@ class TestSpreadTargets:
             for horizon in (5.0, 1e2, 3.7e3, 1e5):
                 fast = np.random.Generator(bit_generator(seed))
                 reference = np.random.Generator(bit_generator(seed))
-                assert sample_spread_targets(fast, num_rays, horizon) == (
+                assert list(sample_spread_targets(fast, num_rays, horizon)) == (
                     _reference_spread_targets(reference, num_rays, horizon)
                 )
                 # Both leave the stream in the same place.
@@ -435,14 +444,17 @@ class TestBatchMeans:
         expected = tuple(
             float(chunk.mean()) for chunk in np.array_split(sample, num_batches)
         )
-        assert _batch_means(sample, num_batches) == expected
         statistics = TrialStatistics.from_sample(sample, num_batches=num_batches)
         assert statistics.batch_means == expected
-        # A strided column (the randomized report's per-target samples).
+        # A strided column, and the same column among the per-target
+        # columns of a matrix (the randomized report's samples).
         matrix = np.column_stack([sample[::-1], sample, sample * 3.0])
         column = matrix[:, 1]
         assert size == 1 or not column.flags.c_contiguous
-        assert _batch_means(column, num_batches) == expected
+        statistics = TrialStatistics.from_sample(column, num_batches=num_batches)
+        assert statistics.batch_means == expected
+        columns = TrialStatistics.from_columns(matrix, num_batches=num_batches)
+        assert columns[1].batch_means == expected
 
 
 # ----------------------------------------------------------------------

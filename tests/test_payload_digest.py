@@ -116,3 +116,44 @@ def test_payload_digest_unchanged():
         payloads, sort_keys=True, separators=(",", ":"), allow_nan=False
     )
     assert hashlib.sha256(canonical.encode()).hexdigest() == CORPUS_DIGEST
+
+
+# The large-sample path: the randomized kernel and the statistics over
+# 20000-sample columns, an adaptive randomized campaign, and 4096-trial
+# fault campaigns, fixed and adaptive.  ``CORPUS_DIGEST`` only holds
+# 200-sample randomized specs and no adaptive randomized one.
+HEAVY_CORPUS_DIGEST = "a11428bc156f92310cc2ffbe729c3d4022649532efded1712b1ed55065cffcad"
+
+
+def _heavy_corpus():
+    specs = [
+        MonteCarloRandomizedSpec(
+            num_rays=m, num_samples=20000, seed=10 + m, horizon=horizon
+        )
+        for m, horizon in [(2, 1e3), (3, 5e3), (4, 2e4)]
+    ]
+    specs.append(
+        MonteCarloRandomizedSpec(
+            num_rays=3, num_samples=256, seed=5, horizon=3e3,
+            target_se=0.04, max_trials=20000, chunk_trials=512,
+        )
+    )
+    common = dict(
+        num_rays=3, num_robots=4, num_faulty=1, num_trials=4096, seed=9,
+        horizon=8e3,
+    )
+    specs.append(MonteCarloFaultsSpec(**common))
+    specs.append(
+        MonteCarloFaultsSpec(
+            **common, target_se=0.02, max_trials=4096, chunk_trials=512
+        )
+    )
+    return specs
+
+
+def test_heavy_corpus_digest_unchanged():
+    payloads = [execute_spec(spec) for spec in _heavy_corpus()]
+    canonical = json.dumps(
+        payloads, sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
+    assert hashlib.sha256(canonical.encode()).hexdigest() == HEAVY_CORPUS_DIGEST
